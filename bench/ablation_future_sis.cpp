@@ -19,7 +19,6 @@ double run_per_mb(const rispp::isa::SiLibrary& lib,
                   const rispp::h264::TraceParams& p, unsigned containers) {
   rispp::sim::SimConfig cfg;
   cfg.rt.atom_containers = containers;
-  cfg.rt.record_events = false;
   rispp::sim::Simulator sim(borrow(lib), cfg);
   sim.add_task({"encoder", rispp::h264::make_encode_trace(lib, p)});
   return static_cast<double>(sim.run().total_cycles) /

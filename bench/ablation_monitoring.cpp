@@ -58,7 +58,6 @@ int main() {
     // Cost-aware reallocation: without it, the release/forecast bursts at
     // window boundaries thrash the two containers regardless of learning.
     cfg.rt.rotation_cost_factor = 1.0;
-    cfg.rt.record_events = false;
     rispp::sim::Simulator sim(borrow(lib), cfg);
     sim.add_task({"app", make_trace(lib)});
     const auto r = sim.run();

@@ -113,7 +113,6 @@ RunMetrics run_point(const SiLibrary& lib, PhasedConfig cfg,
   ContentionSink sink;
   rispp::sim::SimConfig scfg;
   scfg.rt.atom_containers = containers;
-  scfg.rt.record_events = false;
   scfg.rt.sink = &sink;
   scfg.quantum = 5000;
   scfg.rt.max_rotation_retries = retries;

@@ -16,9 +16,11 @@
 ///   T5  another container completes — SATD_4x4 upgrades to a faster
 ///       Molecule.
 ///
-/// The bench prints the simulator timeline and the manager's event trace.
+/// The bench prints the simulator timeline and a condensed view of the
+/// manager's obs::Event stream.
 
 #include <iostream>
+#include <map>
 
 #include "rispp/obs/profiler.hpp"
 #include "rispp/obs/report.hpp"
@@ -33,51 +35,20 @@ int main(int argc, char** argv) try {
   using rispp::util::TextTable;
 
   const auto lib = rispp::isa::SiLibrary::h264();
-  const auto satd = lib.index_of("SATD_4x4");
-  const auto si0 = lib.index_of("HT_2x2");
-  const auto si1 = lib.index_of("HT_4x4");
-
   const auto trace_out = rispp::obs::trace_out_arg(argc, argv);
   const auto report_out = rispp::obs::report_out_arg(argc, argv);
   SimConfig cfg;
   cfg.rt.atom_containers = 6;
   cfg.quantum = 25000;
   const auto meta = make_trace_meta(lib, cfg, {"A", "B"});
-  // The recorder feeds the trace file, the profiler streams the run report;
-  // either can be absent without the other paying for it.
+  // The recorder keeps the stream for the condensed trace below and the
+  // trace file; the profiler streams the run report only when asked for.
   rispp::obs::TraceRecorder recorder;
   rispp::obs::Profiler profiler(meta);
-  rispp::obs::TeeSink tee(trace_out ? &recorder : nullptr,
-                          report_out ? &profiler : nullptr);
-  if (trace_out || report_out) cfg.rt.sink = &tee;
+  rispp::obs::TeeSink tee(&recorder, report_out ? &profiler : nullptr);
+  cfg.rt.sink = &tee;
   Simulator sim(borrow(lib), cfg);
-
-  Trace a;
-  a.push_back(TraceOp::label("T0: steady state — A forecasts SATD_4x4"));
-  a.push_back(TraceOp::forecast(satd, 5000));
-  for (int i = 0; i < 120; ++i) {
-    a.push_back(TraceOp::compute(10000));
-    a.push_back(TraceOp::si(satd, 50));
-  }
-
-  Trace b;
-  b.push_back(TraceOp::forecast(si0, 50));
-  b.push_back(TraceOp::compute(700000));  // let T0 settle
-  b.push_back(TraceOp::si(si0, 20));
-  b.push_back(TraceOp::label("T1: B forecasts the more important SI1"));
-  b.push_back(TraceOp::forecast(si1, 2000000));
-  for (int i = 0; i < 8; ++i) {
-    b.push_back(TraceOp::compute(40000));
-    b.push_back(TraceOp::si(si1, 100));
-  }
-  b.push_back(TraceOp::label("T2: forecast states SI1 no longer needed"));
-  b.push_back(TraceOp::release(si1));
-  b.push_back(TraceOp::label("T3: B's SI0 reuses containers now owned by A"));
-  b.push_back(TraceOp::si(si0, 20));
-
-  rispp::workload::TraceSource::make_fixed(
-      {{"A", std::move(a)}, {"B", std::move(b)}}, "fig06")
-      ->add_to(sim);
+  rispp::workload::TraceSource::make_fig06(lib)->add_to(sim);
   const auto r = sim.run();
 
   TextTable timeline{"cycle", "task", "event"};
@@ -87,28 +58,51 @@ int main(int argc, char** argv) try {
                       e.text});
   std::cout << timeline.str() << "\n";
 
-  // Condensed manager trace: forecasts, rotations, and the first execution
-  // after each latency change (the SW→HW→faster-HW upgrades of T4/T5).
-  TextTable events{"cycle", "event", "SI", "atom", "AC", "task", "cycles"};
+  // Condensed manager trace: forecasts, releases, each rotation's start and
+  // finish, and the first execution after each latency change (the
+  // SW→HW→faster-HW upgrades of T4/T5). A rotation row's cycle is its
+  // transfer window's start or end, "cycles" the transfer time and
+  // "booked" the cycle the manager scheduled it at.
+  using rispp::obs::EventKind;
+  TextTable events{"cycle", "event", "SI",     "atom",
+                   "AC",    "task",  "cycles", "booked"};
   events.set_title("Run-time manager event trace (condensed)");
-  std::uint32_t last_cycles[16] = {0};
-  for (const auto& e : r.rt_events) {
-    const bool exec = e.kind == rispp::rt::RtEvent::Kind::ExecuteHw ||
-                      e.kind == rispp::rt::RtEvent::Kind::ExecuteSw;
-    if (exec) {
-      // Only print executions whose latency changed — the upgrade points.
-      if (last_cycles[e.si_index % 16] == e.cycles) continue;
-      last_cycles[e.si_index % 16] = e.cycles;
+  const auto label = [](std::int64_t index, const std::string& name) {
+    return index >= 0 ? name : std::string("-");
+  };
+  std::map<std::int64_t, std::uint64_t> last_cycles;  // latency by SI
+  for (const auto& e : recorder.events()) {
+    std::string kind = rispp::obs::to_string(e.kind);
+    bool rotation = false;
+    switch (e.kind) {
+      case EventKind::SiExecuted: {
+        // Only print executions whose latency changed — the upgrade points.
+        auto& last = last_cycles[e.si];
+        if (last == e.cycles) continue;
+        last = e.cycles;
+        kind += e.hardware ? " (hw)" : " (sw)";
+        break;
+      }
+      case EventKind::RotationStarted:
+      case EventKind::RotationFinished:
+        rotation = true;
+        break;
+      case EventKind::ForecastSeen:
+      case EventKind::ForecastReleased:
+        break;
+      default:
+        continue;
     }
-    if (e.kind == rispp::rt::RtEvent::Kind::Reallocation) continue;
     events.add_row({
         TextTable::grouped(static_cast<long long>(e.at)),
-        rispp::rt::to_string(e.kind),
-        e.si_index < lib.size() ? lib.at(e.si_index).name() : "-",
-        e.atom_kind ? lib.catalog().at(*e.atom_kind).name : "-",
-        e.container ? std::to_string(*e.container) : "-",
-        e.task >= 0 ? std::string(1, static_cast<char>('A' + e.task)) : "-",
+        kind,
+        label(e.si, meta.si_name(e.si)),
+        label(e.atom, meta.atom_name(e.atom)),
+        label(e.container, std::to_string(e.container)),
+        label(e.task, meta.task_name(e.task)),
         e.cycles ? std::to_string(e.cycles) : "-",
+        rotation ? TextTable::grouped(static_cast<long long>(e.prev_cycles))
+                 : "-",
     });
   }
   std::cout << events.str() << "\n";

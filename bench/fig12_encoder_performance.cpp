@@ -35,7 +35,6 @@ int main() {
   for (unsigned containers : {4u, 5u, 6u}) {
     rispp::sim::SimConfig cfg;
     cfg.rt.atom_containers = containers;
-    cfg.rt.record_events = false;
     rispp::sim::Simulator sim(borrow(lib), cfg);
     sim.add_task({"encoder", rispp::h264::make_encode_trace(lib, p)});
     const auto r = sim.run();

@@ -29,6 +29,7 @@
 #include "rispp/bench/meta_block.hpp"
 #include "rispp/sim/simulator.hpp"
 #include "rispp/util/table.hpp"
+#include "rispp/workload/trace_source.hpp"
 
 namespace {
 
@@ -37,32 +38,6 @@ using namespace rispp::sim;
 struct NullSink final : rispp::obs::EventSink {
   void on_event(const rispp::obs::Event&) override {}
 };
-
-/// The exact Fig-6 scenario of bench/fig06_runtime_scenario.cpp.
-void add_fig06_tasks(Simulator& sim, const rispp::isa::SiLibrary& lib) {
-  const auto satd = lib.index_of("SATD_4x4");
-  const auto si0 = lib.index_of("HT_2x2");
-  const auto si1 = lib.index_of("HT_4x4");
-  Trace a;
-  a.push_back(TraceOp::forecast(satd, 5000));
-  for (int i = 0; i < 120; ++i) {
-    a.push_back(TraceOp::compute(10000));
-    a.push_back(TraceOp::si(satd, 50));
-  }
-  Trace b;
-  b.push_back(TraceOp::forecast(si0, 50));
-  b.push_back(TraceOp::compute(700000));
-  b.push_back(TraceOp::si(si0, 20));
-  b.push_back(TraceOp::forecast(si1, 2000000));
-  for (int i = 0; i < 8; ++i) {
-    b.push_back(TraceOp::compute(40000));
-    b.push_back(TraceOp::si(si1, 100));
-  }
-  b.push_back(TraceOp::release(si1));
-  b.push_back(TraceOp::si(si0, 20));
-  sim.add_task({"A", std::move(a)});
-  sim.add_task({"B", std::move(b)});
-}
 
 /// Many-task contention: `tasks` round-robin tasks, every fourth one a
 /// short early finisher so the scheduler keeps running over a mixed
@@ -110,8 +85,10 @@ Measurement measure(const rispp::isa::SiLibrary& lib, Scenario scenario,
       cfg.scheduler = Scheduler::LinearScan;
     }
     Simulator sim(borrow(lib), cfg);
-    scenario == Scenario::Fig06 ? add_fig06_tasks(sim, lib)
-                                : add_many_tasks(sim, lib, tasks);
+    if (scenario == Scenario::Fig06)
+      rispp::workload::TraceSource::make_fig06(lib)->add_to(sim);
+    else
+      add_many_tasks(sim, lib, tasks);
     const auto t0 = std::chrono::steady_clock::now();
     const auto r = sim.run();
     const auto t1 = std::chrono::steady_clock::now();

@@ -19,39 +19,13 @@
 #include "rispp/sim/observe.hpp"
 #include "rispp/sim/simulator.hpp"
 #include "rispp/util/table.hpp"
+#include "rispp/workload/trace_source.hpp"
 
 namespace {
 
 struct NullSink final : rispp::obs::EventSink {
   void on_event(const rispp::obs::Event&) override {}
 };
-
-void add_fig06_tasks(rispp::sim::Simulator& sim,
-                     const rispp::isa::SiLibrary& lib) {
-  using namespace rispp::sim;
-  const auto satd = lib.index_of("SATD_4x4");
-  const auto si0 = lib.index_of("HT_2x2");
-  const auto si1 = lib.index_of("HT_4x4");
-  Trace a;
-  a.push_back(TraceOp::forecast(satd, 5000));
-  for (int i = 0; i < 120; ++i) {
-    a.push_back(TraceOp::compute(10000));
-    a.push_back(TraceOp::si(satd, 50));
-  }
-  Trace b;
-  b.push_back(TraceOp::forecast(si0, 50));
-  b.push_back(TraceOp::compute(700000));
-  b.push_back(TraceOp::si(si0, 20));
-  b.push_back(TraceOp::forecast(si1, 2000000));
-  for (int i = 0; i < 8; ++i) {
-    b.push_back(TraceOp::compute(40000));
-    b.push_back(TraceOp::si(si1, 100));
-  }
-  b.push_back(TraceOp::release(si1));
-  b.push_back(TraceOp::si(si0, 20));
-  sim.add_task({"A", std::move(a)});
-  sim.add_task({"B", std::move(b)});
-}
 
 /// Wall time of one full fig06 run with the given sink (nullptr = events
 /// disabled entirely).
@@ -61,7 +35,7 @@ double run_ms(const rispp::isa::SiLibrary& lib, rispp::obs::EventSink* sink) {
   cfg.quantum = 25000;
   cfg.rt.sink = sink;
   rispp::sim::Simulator sim(borrow(lib), cfg);
-  add_fig06_tasks(sim, lib);
+  rispp::workload::TraceSource::make_fig06(lib)->add_to(sim);
   const auto t0 = std::chrono::steady_clock::now();
   (void)sim.run();
   const auto t1 = std::chrono::steady_clock::now();

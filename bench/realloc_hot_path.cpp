@@ -40,7 +40,6 @@ Run run_mode(rispp::sim::Driving driving) {
   const auto lib = rispp::isa::SiLibrary::h264_frame();
   rispp::sim::SimConfig cfg;
   cfg.rt.atom_containers = 10;
-  cfg.rt.record_events = false;
   cfg.quantum = 2000;  // forecast/poll pressure: many switches per phase
   cfg.driving = driving;
 

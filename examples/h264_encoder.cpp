@@ -48,7 +48,6 @@ int main() {
 
   rispp::sim::SimConfig cfg;
   cfg.rt.atom_containers = 4;
-  cfg.rt.record_events = false;
   rispp::sim::Simulator sim(borrow(lib), cfg);
   sim.add_task({"encoder", rispp::h264::make_encode_trace(lib, p)});
   const auto r = sim.run();

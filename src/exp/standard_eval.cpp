@@ -204,7 +204,6 @@ sim::SimConfig sim_config_for(const SweepPoint& point) {
   cfg.rt.max_rotation_retries =
       static_cast<unsigned>(point.get_u64("retries", 3));
   cfg.rt.retry_backoff_cycles = point.get_u64("backoff", 1000);
-  cfg.rt.record_events = false;  // sweeps run many points; traces are huge
   cfg.quantum = point.get_u64("quantum", 10000);
   cfg.driving = sim::parse_driving(point.get("driving", "wakeups"));
 

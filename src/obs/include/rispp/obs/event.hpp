@@ -3,11 +3,13 @@
 /// \brief Structured run-time events — the observability layer's vocabulary.
 ///
 /// The simulator and the run-time manager emit timestamped typed events
-/// through an EventSink; exporters (chrome_trace.hpp, csv_trace.hpp) turn a
-/// recorded stream into files, summary.hpp aggregates it into metrics. The
-/// disabled path is a null sink pointer: every emission site is a single
-/// `if (sink)` branch, so instrumented code pays nothing when tracing is
-/// off (the acceptance budget is < 2 % on fig06).
+/// through an EventSink — their only event output: neither keeps a log of
+/// its own, so a caller that wants the stream attaches a TraceRecorder.
+/// Exporters (chrome_trace.hpp, csv_trace.hpp) turn a recorded stream into
+/// files; summary.hpp and profiler.hpp aggregate it. The disabled path is a
+/// null sink pointer: every emission site is a single `if (sink)` branch,
+/// so instrumented code pays nothing when tracing is off (the acceptance
+/// budget is < 2 % on fig06).
 ///
 /// Events are emitted at *issue* time: a RotationFinished event is recorded
 /// the moment the transfer is booked, carrying its (future) completion

@@ -190,40 +190,6 @@ std::vector<VictimCandidate> ContainerFile::victim_candidates(
 }
 
 std::optional<unsigned> ContainerFile::choose_victim(
-    const atom::Molecule& target, Cycle now, VictimPolicy policy) const {
-  // Empty containers first.
-  for (const auto& c : containers_)
-    if (!c.atom && !c.loading && !c.blocked(now)) return c.id;
-
-  const auto candidates = victim_candidates(target, now);
-  if (candidates.empty()) return std::nullopt;
-
-  const VictimCandidate* chosen = nullptr;
-  switch (policy) {
-    case VictimPolicy::LruExcess:
-      for (const auto& c : candidates)
-        if (!chosen || c.last_used < chosen->last_used) chosen = &c;
-      break;
-    case VictimPolicy::MruExcess:
-      for (const auto& c : candidates)
-        if (!chosen || c.last_used > chosen->last_used) chosen = &c;
-      break;
-    case VictimPolicy::RoundRobinExcess:
-      // Rotating cursor: first expendable container at or past the cursor,
-      // wrapping to the lowest id, so successive evictions round-robin.
-      for (const auto& c : candidates)
-        if (c.container >= rr_cursor_) {
-          chosen = &c;
-          break;
-        }
-      if (!chosen) chosen = &candidates.front();
-      rr_cursor_ = chosen->container + 1;
-      break;
-  }
-  return chosen->container;
-}
-
-std::optional<unsigned> ContainerFile::choose_victim(
     const atom::Molecule& target, Cycle now, ReplacementPolicy& policy) const {
   return choose_victim_with(
       target, now,

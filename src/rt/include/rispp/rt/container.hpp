@@ -27,16 +27,6 @@ namespace rispp::rt {
 using Cycle = std::uint64_t;
 constexpr int kNoTask = -1;
 
-/// Which expendable container a new rotation replaces. Candidates are
-/// always restricted to containers whose committed content exceeds the
-/// target configuration (needed atoms are never evicted); the policy picks
-/// among them.
-enum class VictimPolicy {
-  LruExcess,        ///< least-recently-used excess container (default)
-  MruExcess,        ///< most-recently-used — an adversarial anti-policy
-  RoundRobinExcess, ///< rotating cursor over container ids
-};
-
 class ReplacementPolicy;  // policy.hpp
 struct VictimCandidate;   // policy.hpp
 
@@ -142,15 +132,10 @@ class ContainerFile {
   std::optional<Cycle> next_unblock_after(Cycle t) const;
 
   /// Pick the container to sacrifice for a new rotation: prefer empty, then
-  /// an excess container per `policy`. Returns nullopt when every container
-  /// is needed by `target` (or busy with an in-flight transfer, or blocked
-  /// by fault backoff/quarantine).
-  std::optional<unsigned> choose_victim(
-      const atom::Molecule& target, Cycle now,
-      VictimPolicy policy = VictimPolicy::LruExcess) const;
-
-  /// Same contract, but the victim among expendable candidates is picked by
-  /// a ReplacementPolicy strategy object (see policy.hpp).
+  /// the excess container (committed content beyond `target`) that the
+  /// ReplacementPolicy strategy object picks (see policy.hpp). Returns
+  /// nullopt when every container is needed by `target` (or busy with an
+  /// in-flight transfer, or blocked by fault backoff/quarantine).
   std::optional<unsigned> choose_victim(const atom::Molecule& target,
                                         Cycle now,
                                         ReplacementPolicy& policy) const;
@@ -186,9 +171,6 @@ class ContainerFile {
   /// one manager owns one file — so plain members are fine).
   mutable std::vector<unsigned> touch_order_;
   mutable std::vector<atom::Count> touch_remaining_;
-  /// Cursor for the legacy VictimPolicy::RoundRobinExcess path; the
-  /// policy-object path keeps its cursor inside RoundRobinReplacement.
-  mutable unsigned rr_cursor_ = 0;
 };
 
 }  // namespace rispp::rt

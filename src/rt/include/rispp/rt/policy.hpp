@@ -168,9 +168,6 @@ std::vector<std::string> replacement_policy_names();
 bool selection_policy_registered(const std::string& name);
 bool replacement_policy_registered(const std::string& name);
 
-/// Factory key of the legacy VictimPolicy enum knob.
-const char* to_policy_name(VictimPolicy policy);
-
 /// --- devirtualization support (rt/dispatch.hpp) --------------------------
 /// The reallocation kernel dispatches the built-in policies through a
 /// std::variant of concrete types instead of the virtual interface, so the

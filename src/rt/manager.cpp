@@ -1,28 +1,11 @@
 #include "rispp/rt/manager.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "rispp/util/error.hpp"
 #include "rispp/util/log.hpp"
 
 namespace rispp::rt {
-
-const char* to_string(RtEvent::Kind k) {
-  switch (k) {
-    case RtEvent::Kind::Forecast: return "forecast";
-    case RtEvent::Kind::ForecastRelease: return "forecast-release";
-    case RtEvent::Kind::Reallocation: return "reallocation";
-    case RtEvent::Kind::RotationStart: return "rotation-start";
-    case RtEvent::Kind::RotationDone: return "rotation-done";
-    case RtEvent::Kind::RotationCancelled: return "rotation-cancelled";
-    case RtEvent::Kind::RotationFailed: return "rotation-failed";
-    case RtEvent::Kind::AcQuarantined: return "ac-quarantined";
-    case RtEvent::Kind::ExecuteHw: return "execute-hw";
-    case RtEvent::Kind::ExecuteSw: return "execute-sw";
-  }
-  return "?";
-}
 
 namespace {
 
@@ -55,12 +38,9 @@ void validate(const RtConfig& cfg) {
         "unknown selection policy '" + cfg.selection_policy +
         "' in RtConfig (registered: " + joined(selection_policy_names()) +
         ")");
-  const std::string replacement = cfg.replacement_policy.empty()
-                                      ? to_policy_name(cfg.legacy_victim_policy())
-                                      : cfg.replacement_policy;
-  if (!replacement_policy_registered(replacement))
+  if (!replacement_policy_registered(cfg.replacement_policy))
     throw util::PreconditionError(
-        "unknown replacement policy '" + replacement +
+        "unknown replacement policy '" + cfg.replacement_policy +
         "' in RtConfig (registered: " + joined(replacement_policy_names()) +
         ")");
 }
@@ -73,9 +53,7 @@ RisppManager::RisppManager(std::shared_ptr<const isa::SiLibrary> lib,
       rotations_(hw::FaultyReconfigPort(cfg_.port, cfg_.faults),
                  cfg_.clock_mhz),
       selector_(cfg_.selection_policy, *lib_),
-      replacer_(cfg_.replacement_policy.empty()
-                    ? to_policy_name(cfg_.legacy_victim_policy())
-                    : cfg_.replacement_policy),
+      replacer_(cfg_.replacement_policy),
       energy_(cfg_.power, cfg_.clock_mhz),
       batch_(cfg_.sink) {
   // Precompute the execute() fast-path tables: every Molecule option's
@@ -89,17 +67,6 @@ RisppManager::RisppManager(std::shared_ptr<const isa::SiLibrary> lib,
       exec_cache_[si].options.push_back(
           {&o, lib_->catalog().project_rotatable(o.atoms)});
   }
-}
-
-
-RisppManager::RisppManager(const isa::SiLibrary& lib, RtConfig cfg)
-    : RisppManager(
-          std::shared_ptr<const isa::SiLibrary>(
-              std::shared_ptr<const isa::SiLibrary>{}, &lib),
-          std::move(cfg)) {}
-
-void RisppManager::record(RtEvent e) {
-  if (cfg_.record_events) events_.push_back(e);
 }
 
 void RisppManager::forecast(std::size_t si, double expected_executions,
@@ -122,8 +89,6 @@ void RisppManager::forecast(std::size_t si, double expected_executions,
   ++demand_generation_;  // dirties the cached plan
 
   counters_.bump("forecasts");
-  record({.at = now, .kind = RtEvent::Kind::Forecast, .si_index = si,
-          .task = task});
   if (batch_.enabled())
     batch_.emit({.at = now,
                  .kind = obs::EventKind::ForecastSeen,
@@ -150,7 +115,6 @@ void RisppManager::forecast_release(std::size_t si, Cycle now, int task) {
   active_.erase(it);
   ++demand_generation_;  // dirties the cached plan
   counters_.bump("forecast_releases");
-  record({.at = now, .kind = RtEvent::Kind::ForecastRelease, .si_index = si});
   if (batch_.enabled())
     batch_.emit({.at = now,
                  .kind = obs::EventKind::ForecastReleased,
@@ -180,8 +144,6 @@ void RisppManager::process_failures(Cycle now) {
     failed_since_plan_ = true;
     ++state_generation_;  // the failed booking left the timeline; a backoff
                           // (or quarantine) changed the unblock horizon
-    record({.at = b.done, .kind = RtEvent::Kind::RotationFailed,
-            .atom_kind = b.atom_kind, .container = b.container});
     if (batch_.enabled())
       batch_.emit({.at = b.done,
                    .kind = obs::EventKind::RotationFailed,
@@ -192,8 +154,6 @@ void RisppManager::process_failures(Cycle now) {
                    .prev_cycles = b.start});
     if (quarantined) {
       counters_.bump("acs_quarantined");
-      record({.at = b.done, .kind = RtEvent::Kind::AcQuarantined,
-              .container = b.container});
       if (batch_.enabled())
         batch_.emit({.at = b.done,
                      .kind = obs::EventKind::AcQuarantined,
@@ -210,7 +170,6 @@ void RisppManager::reallocate(Cycle now) {
   containers_.refresh(now);
   energy_.advance_leakage(now, loaded_slices());
   counters_.bump("reallocations");
-  record({.at = now, .kind = RtEvent::Kind::Reallocation});
 
   // --- plan stage (cached) -------------------------------------------
   // The plan is a pure function of the demand set, so it only goes stale
@@ -271,11 +230,6 @@ void RisppManager::cancel_stale(Cycle now) {
   // Cancel queued transfers the new plan no longer wants: the port slot is
   // lost, but the container frees immediately and the stale atom never
   // occupies it.
-  //
-  // Tombstones whose completion cycle has been reached are final; dropping
-  // them keeps pending_dones_ as small as the rotation queue itself.
-  std::erase_if(pending_dones_,
-                [&](const PendingDone& p) { return p.done <= now; });
   for (unsigned c = 0; c < containers_.size(); ++c) {
     const auto pending = rotations_.pending_for(c, now);
     if (!pending) continue;
@@ -287,21 +241,8 @@ void RisppManager::cancel_stale(Cycle now) {
     energy_.refund_rotation(pending->done - pending->start);
     counters_.bump("rotations_cancelled");
     ++state_generation_;  // a completion point left the timeline
-    // The completion event recorded at issue time will never happen —
-    // tombstone it by its remembered position. The seed erased mid-vector
-    // here (O(n) shift plus an O(n) index fixup over pending_dones_);
-    // marking is O(1) and events() compacts lazily.
-    if (cfg_.record_events) {
-      for (auto it = pending_dones_.begin(); it != pending_dones_.end();
-           ++it) {
-        if (it->container != c || it->done != pending->done) continue;
-        dead_events_.push_back(it->event_index);
-        pending_dones_.erase(it);
-        break;
-      }
-    }
-    record({.at = now, .kind = RtEvent::Kind::RotationCancelled,
-            .atom_kind = kind, .container = c});
+    // The RotationFinished emitted at issue time will never happen; this
+    // event is its tombstone, keyed on (container, transfer start).
     if (batch_.enabled())
       batch_.emit({.at = now,
                    .kind = obs::EventKind::RotationCancelled,
@@ -311,32 +252,6 @@ void RisppManager::cancel_stale(Cycle now) {
                    // identifies the span that will never happen
                    .prev_cycles = pending->start});
   }
-}
-
-void RisppManager::compact_events() const {
-  if (dead_events_.empty()) return;
-  std::sort(dead_events_.begin(), dead_events_.end());
-  // Remap the live pending_dones_ indices before the positions move: each
-  // drops by the number of dead entries below it (its own entry is never
-  // dead — cancellation erased the PendingDone along with the tombstone).
-  for (auto& p : pending_dones_) {
-    const auto below =
-        std::lower_bound(dead_events_.begin(), dead_events_.end(),
-                         p.event_index) -
-        dead_events_.begin();
-    p.event_index -= static_cast<std::size_t>(below);
-  }
-  std::size_t out = 0, dead = 0;
-  for (std::size_t i = 0; i < events_.size(); ++i) {
-    if (dead < dead_events_.size() && dead_events_[dead] == i) {
-      ++dead;
-      continue;
-    }
-    if (out != i) events_[out] = std::move(events_[i]);
-    ++out;
-  }
-  events_.resize(out);
-  dead_events_.clear();
 }
 
 void RisppManager::issue(Cycle now) {
@@ -368,20 +283,6 @@ void RisppManager::issue(Cycle now) {
         if (booking.done - booking.start >
             rotations_.duration_cycles(kind, lib_->catalog()))
           counters_.bump("rotations_degraded");
-        record({.at = now, .kind = RtEvent::Kind::RotationStart,
-                .si_index = step.si_index, .atom_kind = kind,
-                .container = *victim, .task = step.task});
-        // Only a clean transfer gets its completion event (and tombstone)
-        // pre-recorded; a faulty booking's terminal event is the
-        // RotationFailed that process_failures records at discovery.
-        if (booking.result == hw::TransferResult::Ok) {
-          record({.at = booking.done, .kind = RtEvent::Kind::RotationDone,
-                  .si_index = step.si_index, .atom_kind = kind,
-                  .container = *victim, .task = step.task});
-          if (cfg_.record_events)
-            pending_dones_.push_back(
-                {*victim, booking.done, events_.size() - 1});
-        }
         if (batch_.enabled()) {
           if (evicted)
             batch_.emit({.at = now,
@@ -402,6 +303,9 @@ void RisppManager::issue(Cycle now) {
                                 .cycles = booking.done - booking.start,
                                 .prev_cycles = now};
           batch_.emit(span);
+          // Only a clean transfer announces its completion up front; a
+          // faulty booking's terminal event is the RotationFailed that
+          // process_failures emits at discovery.
           if (booking.result == hw::TransferResult::Ok) {
             obs::Event fin = span;
             fin.at = booking.done;
@@ -456,14 +360,10 @@ RisppManager::ExecResult RisppManager::execute(std::size_t si, Cycle now,
     energy_.add_execution(chosen->opt->cycles, true);
     containers_.touch(chosen->projected, now);
     counters_.bump("si_exec_hw");
-    record({.at = now, .kind = RtEvent::Kind::ExecuteHw, .si_index = si,
-            .task = task, .cycles = chosen->opt->cycles});
   } else {
     res = {instr.software_cycles(), false, nullptr};
     energy_.add_execution(instr.software_cycles(), false);
     counters_.bump("si_exec_sw");
-    record({.at = now, .kind = RtEvent::Kind::ExecuteSw, .si_index = si,
-            .task = task, .cycles = instr.software_cycles()});
   }
   if (batch_.enabled()) {
     batch_.emit({.at = now,

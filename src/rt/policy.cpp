@@ -172,13 +172,4 @@ ReplacementKind replacement_policy_kind(const std::string& name) {
   return ReplacementKind::Custom;
 }
 
-const char* to_policy_name(VictimPolicy policy) {
-  switch (policy) {
-    case VictimPolicy::LruExcess: return "lru";
-    case VictimPolicy::MruExcess: return "mru";
-    case VictimPolicy::RoundRobinExcess: return "round-robin";
-  }
-  return "lru";
-}
-
 }  // namespace rispp::rt

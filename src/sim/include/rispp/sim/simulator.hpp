@@ -70,18 +70,6 @@ struct SimConfig {
   Driving driving = Driving::Wakeups;
   /// Task-lookup strategy (see Scheduler); results are identical.
   Scheduler scheduler = Scheduler::RunnableRing;
-
-  /// Deprecated shims for the old bool pair; they rewrite `driving`.
-  /// `set_rotation_wakeups(false)` restores the seed's every-switch polling
-  /// (the only mode the pre-wakeup simulator had).
-  [[deprecated("set SimConfig::driving = Driving::Wakeups instead")]]
-  void set_rotation_wakeups(bool on) {
-    driving = on ? Driving::Wakeups : Driving::PollEverySwitch;
-  }
-  [[deprecated("set SimConfig::driving = Driving::PollEverySwitch instead")]]
-  void set_poll_every_switch(bool on) {
-    driving = on ? Driving::PollEverySwitch : Driving::Wakeups;
-  }
 };
 
 struct SiStats {
@@ -102,7 +90,6 @@ struct SimResult {
   std::map<std::string, rt::Cycle> task_cycles;  ///< busy cycles per task
   std::map<std::string, SiStats> per_si;          ///< keyed by SI name
   std::vector<TimelineEntry> timeline;            ///< Label ops
-  std::vector<rt::RtEvent> rt_events;             ///< manager event trace
   std::uint64_t rotations = 0;
   /// Energy spent (nJ): execution, rotation, loaded-atom leakage.
   double energy_execution_nj = 0;
@@ -121,14 +108,6 @@ class Simulator {
   /// can destroy it early (shared_ptr). exp::Platform hands out exactly
   /// this pointer.
   Simulator(std::shared_ptr<const isa::SiLibrary> lib, SimConfig cfg);
-
-  /// Deprecated lifetime trap: binds to a library the *caller* must keep
-  /// alive for the simulator's whole lifetime (internally wrapped in a
-  /// non-owning aliasing shared_ptr). Kept for source compatibility.
-  [[deprecated(
-      "pass std::shared_ptr<const isa::SiLibrary> so the simulator shares "
-      "ownership of the library snapshot")]]
-  Simulator(const isa::SiLibrary& lib, SimConfig cfg);
 
   void add_task(TaskDef task);
 

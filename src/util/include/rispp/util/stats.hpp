@@ -41,7 +41,7 @@ class Accumulator {
 
 /// Exact bracket of a percentile query against a bucketed distribution:
 /// the nearest-rank sample lies in [lower, upper) — the edges of the bucket
-/// that holds it. Histograms forget exact sample values, so this is the
+/// that holds it. A histogram forgets exact sample values, so this is the
 /// tightest honest answer (never a fabricated interpolation).
 struct PercentileBound {
   double lower = 0.0;
@@ -49,32 +49,6 @@ struct PercentileBound {
 
   friend bool operator==(const PercentileBound&,
                          const PercentileBound&) = default;
-};
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples land in
-/// saturating edge buckets so no sample is ever silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-  double bucket_lo(std::size_t i) const;
-  double bucket_hi(std::size_t i) const;
-  std::uint64_t total() const { return total_; }
-
-  /// Edges of the bucket holding the nearest-rank q-quantile sample
-  /// (q in (0, 1]; rank = ceil(q * total)). Requires a non-empty histogram.
-  PercentileBound percentile(double q) const;
-
-  /// Render as a compact ASCII bar chart (for bench output).
-  std::string ascii(std::size_t width = 40) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 /// Power-of-two-bucketed histogram for non-negative integer samples

@@ -1,9 +1,7 @@
 #include "rispp/util/stats.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <sstream>
 
 #include "rispp/util/error.hpp"
 
@@ -59,36 +57,10 @@ void Accumulator::merge(const Accumulator& other) {
   max_ = std::max(max_, other.max_);
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  RISPP_REQUIRE(hi > lo, "histogram range must be non-empty");
-  RISPP_REQUIRE(buckets > 0, "histogram needs at least one bucket");
-}
-
-void Histogram::add(double x) {
-  const double span = hi_ - lo_;
-  auto idx = static_cast<std::ptrdiff_t>((x - lo_) / span *
-                                         static_cast<double>(counts_.size()));
-  idx = std::clamp<std::ptrdiff_t>(
-      idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  RISPP_REQUIRE(i < counts_.size(), "bucket index out of range");
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bucket_hi(std::size_t i) const {
-  return bucket_lo(i) + (hi_ - lo_) / static_cast<double>(counts_.size());
-}
-
 namespace {
 
-/// Nearest-rank bucket lookup shared by both histogram flavours: the index
-/// of the bucket containing the ceil(q * total)-th sample (1-based).
+/// Nearest-rank bucket lookup: the index of the bucket containing the
+/// ceil(q * total)-th sample (1-based).
 std::size_t percentile_bucket(const std::vector<std::uint64_t>& counts,
                               std::uint64_t total, double q) {
   RISPP_REQUIRE(total > 0, "percentile() of empty histogram");
@@ -104,11 +76,6 @@ std::size_t percentile_bucket(const std::vector<std::uint64_t>& counts,
 }
 
 }  // namespace
-
-PercentileBound Histogram::percentile(double q) const {
-  const auto i = percentile_bucket(counts_, total_, q);
-  return {bucket_lo(i), bucket_hi(i)};
-}
 
 std::uint64_t LogHistogram::min() const {
   RISPP_REQUIRE(total_ > 0, "min() of empty histogram");
@@ -139,19 +106,6 @@ PercentileBound LogHistogram::percentile(double q) const {
   const auto i = percentile_bucket(counts_, total_, q);
   return {static_cast<double>(bucket_lower(i)),
           static_cast<double>(bucket_upper(i))};
-}
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::uint64_t peak = 0;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar =
-        peak ? static_cast<std::size_t>(counts_[i] * width / peak) : 0;
-    os << "[" << bucket_lo(i) << ", " << bucket_hi(i) << ") "
-       << std::string(bar, '#') << " " << counts_[i] << "\n";
-  }
-  return os.str();
 }
 
 std::uint64_t Counters::get(const std::string& key) const {

@@ -1,15 +1,21 @@
 #include "rispp/workload/graph_walk.hpp"
 
 #include <set>
+#include <utility>
 
 #include "rispp/util/error.hpp"
 #include "rispp/util/rng.hpp"
+#include "rispp/workload/trace_source.hpp"
 
-namespace rispp::workload::detail {
+namespace rispp::workload {
 
-sim::Trace run_walk(const cfg::BBGraph& g, const forecast::FcPlan& plan,
-                    const isa::SiLibrary& lib, const WalkParams& params,
-                    WalkStats* stats) {
+namespace {
+
+/// Walks `g` from its entry and builds the corresponding trace. Adjacent
+/// compute contributions are merged so the trace stays compact.
+sim::Trace walk(const cfg::BBGraph& g, const forecast::FcPlan& plan,
+                const isa::SiLibrary& lib, const WalkParams& params,
+                WalkStats* stats) {
   g.validate();
   util::Xoshiro256 rng(params.seed);
 
@@ -84,4 +90,49 @@ sim::Trace run_walk(const cfg::BBGraph& g, const forecast::FcPlan& plan,
   return trace;
 }
 
-}  // namespace rispp::workload::detail
+class GraphWalkSource final : public TraceSource {
+ public:
+  GraphWalkSource(cfg::BBGraph g, forecast::FcPlan plan,
+                  std::shared_ptr<const isa::SiLibrary> lib, WalkParams params,
+                  WalkStats* stats, std::string task_name)
+      : graph_(std::move(g)),
+        plan_(std::move(plan)),
+        lib_(std::move(lib)),
+        params_(params),
+        stats_(stats),
+        task_name_(std::move(task_name)) {
+    RISPP_REQUIRE(lib_ != nullptr, "graph-walk source needs an SI library");
+  }
+
+  std::vector<sim::TaskDef> tasks() const override {
+    std::vector<sim::TaskDef> out;
+    out.push_back({task_name_, walk(graph_, plan_, *lib_, params_, stats_)});
+    return out;
+  }
+
+  std::string describe() const override {
+    return "graph walk over " + std::to_string(graph_.block_count()) +
+           " blocks (seed " + std::to_string(params_.seed) + ", max_steps " +
+           std::to_string(params_.max_steps) + ")";
+  }
+
+ private:
+  cfg::BBGraph graph_;
+  forecast::FcPlan plan_;
+  std::shared_ptr<const isa::SiLibrary> lib_;
+  WalkParams params_;
+  WalkStats* stats_;
+  std::string task_name_;
+};
+
+}  // namespace
+
+std::unique_ptr<TraceSource> TraceSource::make_graph_walk(
+    const cfg::BBGraph& g, const forecast::FcPlan& plan,
+    std::shared_ptr<const isa::SiLibrary> lib, WalkParams params,
+    WalkStats* stats, std::string task_name) {
+  return std::make_unique<GraphWalkSource>(g, plan, std::move(lib), params,
+                                           stats, std::move(task_name));
+}
+
+}  // namespace rispp::workload

@@ -12,14 +12,10 @@
 ///
 /// The result: run_forecast_pass() output can be *executed*, not just
 /// inspected — the AES end-to-end experiment (bench/aes_end_to_end) runs on
-/// this, through the TraceSource seam (trace_source.hpp).
+/// this. The walk itself is TraceSource::make_graph_walk (trace_source.hpp);
+/// this header holds its parameters and statistics.
 
 #include <cstdint>
-
-#include "rispp/cfg/graph.hpp"
-#include "rispp/forecast/forecast_pass.hpp"
-#include "rispp/isa/si_library.hpp"
-#include "rispp/sim/trace.hpp"
 
 namespace rispp::workload {
 
@@ -42,29 +38,5 @@ struct WalkStats {
   /// truncated a longer walk" from other non-sink terminations.
   bool truncated = false;
 };
-
-namespace detail {
-/// The walk itself — shared by the deprecated free function below and
-/// TraceSource::make_graph_walk. Not a public entry point.
-sim::Trace run_walk(const cfg::BBGraph& g, const forecast::FcPlan& plan,
-                    const isa::SiLibrary& lib, const WalkParams& params,
-                    WalkStats* stats);
-}  // namespace detail
-
-/// Walks `g` from its entry and builds the corresponding trace. Adjacent
-/// compute contributions are merged so the trace stays compact.
-///
-/// Deprecated: construct the walk through the unified producer seam —
-/// `TraceSource::make_graph_walk(...)` (trace_source.hpp) — which every
-/// bench and the experiment evaluator consume uniformly. This shim stays
-/// for source compatibility and forwards unchanged.
-[[deprecated("use workload::TraceSource::make_graph_walk instead")]]
-inline sim::Trace walk_graph(const cfg::BBGraph& g,
-                             const forecast::FcPlan& plan,
-                             const isa::SiLibrary& lib,
-                             const WalkParams& params,
-                             WalkStats* stats = nullptr) {
-  return detail::run_walk(g, plan, lib, params, stats);
-}
 
 }  // namespace rispp::workload

@@ -14,7 +14,8 @@
 /// generator — plugs into every consumer at once.
 ///
 /// Producers:
-///   make_fixed       a hand-built task list (the fig06/fig11 scenarios)
+///   make_fixed       a hand-built task list (e.g. the fig11 scenario)
+///   make_fig06       the paper's Fig-6 two-task run-time scenario
 ///   make_from_text   the §2 trace text format, from a string
 ///   make_from_file   the §2 trace text format, from a file
 ///   make_graph_walk  a Markov walk over a forecast-annotated BB graph
@@ -58,6 +59,15 @@ class TraceSource {
   /// Wraps an already-built task list (hand-written scenarios).
   static std::unique_ptr<TraceSource> make_fixed(
       std::vector<sim::TaskDef> tasks, std::string label = "fixed");
+
+  /// The Fig-6 scenario (make_fixed, label "fig06"): tasks A and B on the
+  /// H.264 SIs, named in `lib`. A forecasts SATD_4x4 and runs it in 120
+  /// bursts; B forecasts HT_2x2, later the more important HT_4x4, then
+  /// releases HT_4x4 and runs HT_2x2 once more. Label ops mark the paper's
+  /// T0–T3 points; they cost no cycles, so the event stream does not depend
+  /// on them. bench/fig06_runtime_scenario, the fig06 goldens and the
+  /// kernel and profiler benches all run this one definition.
+  static std::unique_ptr<TraceSource> make_fig06(const isa::SiLibrary& lib);
 
   /// Parses the §2 trace text format; SI names resolve against `lib`.
   static std::unique_ptr<TraceSource> make_from_text(

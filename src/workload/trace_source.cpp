@@ -42,42 +42,6 @@ class ParsedSource final : public TraceSource {
   std::string origin_;
 };
 
-class GraphWalkSource final : public TraceSource {
- public:
-  GraphWalkSource(cfg::BBGraph g, forecast::FcPlan plan,
-                  std::shared_ptr<const isa::SiLibrary> lib, WalkParams params,
-                  WalkStats* stats, std::string task_name)
-      : graph_(std::move(g)),
-        plan_(std::move(plan)),
-        lib_(std::move(lib)),
-        params_(params),
-        stats_(stats),
-        task_name_(std::move(task_name)) {
-    RISPP_REQUIRE(lib_ != nullptr, "graph-walk source needs an SI library");
-  }
-
-  std::vector<sim::TaskDef> tasks() const override {
-    std::vector<sim::TaskDef> out;
-    out.push_back(
-        {task_name_, detail::run_walk(graph_, plan_, *lib_, params_, stats_)});
-    return out;
-  }
-
-  std::string describe() const override {
-    return "graph walk over " + std::to_string(graph_.block_count()) +
-           " blocks (seed " + std::to_string(params_.seed) + ", max_steps " +
-           std::to_string(params_.max_steps) + ")";
-  }
-
- private:
-  cfg::BBGraph graph_;
-  forecast::FcPlan plan_;
-  std::shared_ptr<const isa::SiLibrary> lib_;
-  WalkParams params_;
-  WalkStats* stats_;
-  std::string task_name_;
-};
-
 class PhasedSource final : public TraceSource {
  public:
   PhasedSource(PhasedWorkload workload, PhasedStats* stats)
@@ -136,6 +100,39 @@ std::unique_ptr<TraceSource> TraceSource::make_fixed(
   return std::make_unique<FixedSource>(std::move(tasks), std::move(label));
 }
 
+std::unique_ptr<TraceSource> TraceSource::make_fig06(
+    const isa::SiLibrary& lib) {
+  using sim::TraceOp;
+  const auto satd = lib.index_of("SATD_4x4");
+  const auto si0 = lib.index_of("HT_2x2");
+  const auto si1 = lib.index_of("HT_4x4");
+
+  sim::Trace a;
+  a.push_back(TraceOp::label("T0: steady state — A forecasts SATD_4x4"));
+  a.push_back(TraceOp::forecast(satd, 5000));
+  for (int i = 0; i < 120; ++i) {
+    a.push_back(TraceOp::compute(10000));
+    a.push_back(TraceOp::si(satd, 50));
+  }
+
+  sim::Trace b;
+  b.push_back(TraceOp::forecast(si0, 50));
+  b.push_back(TraceOp::compute(700000));  // let T0 settle
+  b.push_back(TraceOp::si(si0, 20));
+  b.push_back(TraceOp::label("T1: B forecasts the more important SI1"));
+  b.push_back(TraceOp::forecast(si1, 2000000));
+  for (int i = 0; i < 8; ++i) {
+    b.push_back(TraceOp::compute(40000));
+    b.push_back(TraceOp::si(si1, 100));
+  }
+  b.push_back(TraceOp::label("T2: forecast states SI1 no longer needed"));
+  b.push_back(TraceOp::release(si1));
+  b.push_back(TraceOp::label("T3: B's SI0 reuses containers now owned by A"));
+  b.push_back(TraceOp::si(si0, 20));
+
+  return make_fixed({{"A", std::move(a)}, {"B", std::move(b)}}, "fig06");
+}
+
 std::unique_ptr<TraceSource> TraceSource::make_from_text(
     const std::string& text, std::shared_ptr<const isa::SiLibrary> lib) {
   RISPP_REQUIRE(lib != nullptr, "trace-text source needs an SI library");
@@ -150,14 +147,6 @@ std::unique_ptr<TraceSource> TraceSource::make_from_file(
   if (!in.good())
     throw util::PreconditionError("cannot open trace file '" + path + "'");
   return std::make_unique<ParsedSource>(sim::parse_tasks(in, *lib), path);
-}
-
-std::unique_ptr<TraceSource> TraceSource::make_graph_walk(
-    const cfg::BBGraph& g, const forecast::FcPlan& plan,
-    std::shared_ptr<const isa::SiLibrary> lib, WalkParams params,
-    WalkStats* stats, std::string task_name) {
-  return std::make_unique<GraphWalkSource>(g, plan, std::move(lib), params,
-                                           stats, std::move(task_name));
 }
 
 std::unique_ptr<TraceSource> TraceSource::make_phased(PhasedWorkload workload,

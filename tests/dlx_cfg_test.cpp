@@ -173,7 +173,6 @@ TEST_F(DlxCfgExtract, InjectForecastsAutomaticallyAcceleratesTheBinary) {
   // The instrumented binary on the RISPP platform.
   rispp::rt::RtConfig rcfg;
   rcfg.atom_containers = 4;
-  rcfg.record_events = false;
   rispp::rt::RisppManager mgr(borrow(lib_), rcfg);
   Cpu accelerated(lib_, &mgr);
   accelerated.load(instrumented);

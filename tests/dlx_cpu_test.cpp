@@ -163,7 +163,6 @@ TEST_F(DlxCpu, SiLatencyComesFromTheManager) {
 
   rispp::rt::RtConfig cfg;
   cfg.atom_containers = 4;
-  cfg.record_events = false;
   rispp::rt::RisppManager mgr(borrow(lib_), cfg);
   const auto with_mgr = run_cycles(&mgr);
   const auto& usage = with_mgr.si_usage().at("SATD_4x4");

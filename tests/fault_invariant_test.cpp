@@ -7,8 +7,9 @@
 ///   I2  a hardware execution's Molecule is implementable from the Atoms
 ///       available at that cycle (no execution on a failed/poisoned load)
 ///   I3  the platform clock only moves forward (wakeups are monotone)
-///   I4  every issued rotation reaches exactly one terminal state:
-///       Done, Cancelled, or Failed
+///   I4  every issued rotation reaches exactly one terminal state on the
+///       obs::Event stream: Finished, Cancelled, or Failed
+///       (rotation_lifecycle.hpp)
 ///   I5  every SI is always executable — hardware or software fallback
 ///
 /// The zero-fault differential (FaultModel::none() byte-identical to the
@@ -21,6 +22,8 @@
 #include "rispp/rt/manager.hpp"
 #include "rispp/sim/simulator.hpp"
 #include "rispp/util/rng.hpp"
+#include "rispp/workload/trace_source.hpp"
+#include "rotation_lifecycle.hpp"
 
 namespace {
 
@@ -29,7 +32,7 @@ using rispp::isa::borrow;
 using rispp::rt::Cycle;
 using rispp::rt::RisppManager;
 using rispp::rt::RtConfig;
-using rispp::rt::RtEvent;
+using rotation_lifecycle::check_rotation_lifecycle;
 
 /// I1 + I5 and bookkeeping sanity, checked after every kernel op.
 void check_platform_invariants(RisppManager& mgr, Cycle now) {
@@ -41,20 +44,6 @@ void check_platform_invariants(RisppManager& mgr, Cycle now) {
   // are committed but not yet available).
   ASSERT_TRUE(mgr.available_atoms(now).leq(mgr.committed_atoms()))
       << "available atoms not covered by the committed view at " << now;
-}
-
-/// I4, checked once a run is fully drained.
-void check_rotation_lifecycle(const std::vector<RtEvent>& events) {
-  std::uint64_t starts = 0, terminal = 0;
-  for (const auto& e : events) {
-    if (e.kind == RtEvent::Kind::RotationStart) ++starts;
-    if (e.kind == RtEvent::Kind::RotationDone ||
-        e.kind == RtEvent::Kind::RotationCancelled ||
-        e.kind == RtEvent::Kind::RotationFailed)
-      ++terminal;
-  }
-  EXPECT_EQ(starts, terminal)
-      << "I4: a rotation was issued but never reached Done/Cancelled/Failed";
 }
 
 /// Polls the manager at every wakeup until it settles; asserts I3 along the
@@ -83,7 +72,9 @@ void run_randomized(std::uint64_t seed, double p_fail, double p_poison,
                     double p_degrade, unsigned retries) {
   SCOPED_TRACE("seed=" + std::to_string(seed));
   const auto lib = rispp::isa::SiLibrary::h264();
+  rispp::obs::TraceRecorder recorder;
   RtConfig cfg;
+  cfg.sink = &recorder;
   cfg.atom_containers = 5;
   cfg.faults =
       FaultModel::probabilistic(seed, p_fail, p_poison, p_degrade, 2.0);
@@ -132,7 +123,8 @@ void run_randomized(std::uint64_t seed, double p_fail, double p_poison,
   }
 
   const auto end = drain(mgr, now);
-  check_rotation_lifecycle(mgr.events());
+  mgr.flush_events();
+  check_rotation_lifecycle(recorder.events(), mgr);  // I4
 
   // I5 after everything settled: every SI in the library still executes,
   // however many containers the fault schedule quarantined.
@@ -161,7 +153,9 @@ TEST(FaultInvariants, RandomizedWorkloadsHostileFaults) {
 
 TEST(FaultInvariants, DegradationOnlyNeverFailsARotation) {
   const auto lib = rispp::isa::SiLibrary::h264();
+  rispp::obs::TraceRecorder recorder;
   RtConfig cfg;
+  cfg.sink = &recorder;
   cfg.atom_containers = 6;
   cfg.faults = FaultModel::probabilistic(7, 0.0, 0.0, 0.5, 3.0);
   RisppManager mgr(borrow(lib), cfg);
@@ -171,59 +165,41 @@ TEST(FaultInvariants, DegradationOnlyNeverFailsARotation) {
   EXPECT_EQ(mgr.counters().get("acs_quarantined"), 0u);
   // Stretched transfers still commit: the SI reaches hardware eventually.
   EXPECT_TRUE(mgr.execute(lib.index_of("SATD_4x4"), end + 1).hardware);
-  check_rotation_lifecycle(mgr.events());
+  mgr.flush_events();
+  check_rotation_lifecycle(recorder.events(), mgr);
 }
 
 /// The fig06 two-task scenario on the full simulator, under a seeded fault
-/// schedule: the run must terminate, the recorded kernel events must close
-/// every rotation, and the platform must end with every SI executable.
+/// schedule: the run must terminate, the recorded stream must close every
+/// rotation, and the platform must end with every SI executable.
 TEST(FaultInvariants, Fig06ScenarioUnderSeededFaults) {
   const auto lib = rispp::isa::SiLibrary::h264();
-  const auto satd = lib.index_of("SATD_4x4");
-  const auto si0 = lib.index_of("HT_2x2");
-  const auto si1 = lib.index_of("HT_4x4");
+  const auto fig06 = rispp::workload::TraceSource::make_fig06(lib);
 
   for (std::uint64_t seed : {3ull, 17ull, 4242ull}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
+    rispp::obs::TraceRecorder recorder;
     rispp::sim::SimConfig cfg;
     cfg.rt.atom_containers = 6;
     cfg.quantum = 25000;
+    cfg.rt.sink = &recorder;
     cfg.rt.faults = FaultModel::probabilistic(seed, 0.2, 0.1, 0.1);
     cfg.rt.max_rotation_retries = 2;
     cfg.rt.retry_backoff_cycles = 2000;
     rispp::sim::Simulator sim(borrow(lib), cfg);
-
-    rispp::sim::Trace a;
-    a.push_back(rispp::sim::TraceOp::forecast(satd, 5000));
-    for (int i = 0; i < 120; ++i) {
-      a.push_back(rispp::sim::TraceOp::compute(10000));
-      a.push_back(rispp::sim::TraceOp::si(satd, 50));
-    }
-    rispp::sim::Trace b;
-    b.push_back(rispp::sim::TraceOp::forecast(si0, 50));
-    b.push_back(rispp::sim::TraceOp::compute(700000));
-    b.push_back(rispp::sim::TraceOp::si(si0, 20));
-    b.push_back(rispp::sim::TraceOp::forecast(si1, 2000000));
-    for (int i = 0; i < 8; ++i) {
-      b.push_back(rispp::sim::TraceOp::compute(40000));
-      b.push_back(rispp::sim::TraceOp::si(si1, 100));
-    }
-    b.push_back(rispp::sim::TraceOp::release(si1));
-    b.push_back(rispp::sim::TraceOp::si(si0, 20));
-    sim.add_task({"A", std::move(a)});
-    sim.add_task({"B", std::move(b)});
+    fig06->add_to(sim);
 
     const auto r = sim.run();
     EXPECT_GT(r.total_cycles, 0u);  // the run terminated
     for (const auto& [name, st] : r.per_si)
       EXPECT_EQ(st.invocations, st.hw_invocations + st.sw_invocations);
 
-    // run() copies its event snapshot before the final settle; drain the
-    // manager directly so failures booked past the trace end are discovered
-    // and every rotation reaches a terminal state.
+    // Failures booked past the trace end are discovered only when the
+    // manager is drained; the drain's events reach the recorder too.
     auto& mgr = sim.manager();
     const auto end = drain(mgr, r.total_cycles);
-    check_rotation_lifecycle(mgr.events());
+    mgr.flush_events();
+    check_rotation_lifecycle(recorder.events(), mgr);
     for (std::size_t si = 0; si < lib.size(); ++si)
       EXPECT_GT(mgr.execute(si, end + 1 + si).cycles, 0u);
   }

@@ -40,6 +40,7 @@
 #include "rispp/sim/trace_io.hpp"
 #include "rispp/util/rng.hpp"
 #include "rispp/workload/trace_source.hpp"
+#include "rotation_lifecycle.hpp"
 
 namespace {
 
@@ -52,7 +53,6 @@ using rispp::isa::SiLibrary;
 using rispp::rt::Cycle;
 using rispp::rt::RisppManager;
 using rispp::rt::RtConfig;
-using rispp::rt::RtEvent;
 
 constexpr std::uint64_t kSeedBegin = 1;
 constexpr std::uint64_t kSeedEnd = 201;  // 200 libraries per suite
@@ -191,19 +191,6 @@ void check_platform_invariants(RisppManager& mgr, Cycle now) {
       << "available atoms not covered by the committed view at " << now;
 }
 
-void check_rotation_lifecycle(const std::vector<RtEvent>& events) {
-  std::uint64_t starts = 0, terminal = 0;
-  for (const auto& e : events) {
-    if (e.kind == RtEvent::Kind::RotationStart) ++starts;
-    if (e.kind == RtEvent::Kind::RotationDone ||
-        e.kind == RtEvent::Kind::RotationCancelled ||
-        e.kind == RtEvent::Kind::RotationFailed)
-      ++terminal;
-  }
-  EXPECT_EQ(starts, terminal)
-      << "I4: a rotation was issued but never reached Done/Cancelled/Failed";
-}
-
 Cycle drain(RisppManager& mgr, Cycle from) {
   Cycle t = from;
   for (int guard = 0; guard < 20000; ++guard) {
@@ -225,7 +212,9 @@ TEST(GenlibProperty, FaultInvariantsAcrossPoliciesAndShapes) {
   static const char* kReplacement[] = {"lru", "mru", "round-robin"};
   for (std::uint64_t seed = kSeedBegin; seed < kSeedEnd; ++seed) {
     const auto lib = generated_library(seed);
+    rispp::obs::TraceRecorder recorder;
     RtConfig cfg;
+    cfg.sink = &recorder;
     cfg.atom_containers = 3 + static_cast<unsigned>(seed % 5);
     cfg.faults = rispp::hw::FaultModel::probabilistic(seed, 0.12, 0.05, 0.10,
                                                       2.0);
@@ -281,7 +270,8 @@ TEST(GenlibProperty, FaultInvariantsAcrossPoliciesAndShapes) {
     }
 
     const auto end = drain(mgr, now);
-    check_rotation_lifecycle(mgr.events());
+    mgr.flush_events();
+    rotation_lifecycle::check_rotation_lifecycle(recorder.events(), mgr);
     for (std::size_t si = 0; si < lib.size(); ++si) {
       const auto r = mgr.execute(si, end + 1 + si);
       EXPECT_GT(r.cycles, 0u) << "I5: SI " << si << " lost its fallback";

@@ -21,7 +21,6 @@ TEST(Integration, EncoderSpeedupOver3xWithMinimalAtoms) {
   p.macroblocks = 99;  // one QCIF frame
   rispp::sim::SimConfig cfg;
   cfg.rt.atom_containers = 4;
-  cfg.rt.record_events = false;
   rispp::sim::Simulator sim(borrow(lib), cfg);
   sim.add_task({"enc", rispp::h264::make_encode_trace(lib, p)});
   const auto r = sim.run();
@@ -40,7 +39,6 @@ TEST(Integration, AmdahlFlatteningAcrossAtomBudgets) {
   for (unsigned containers : {4u, 5u, 6u}) {
     rispp::sim::SimConfig cfg;
     cfg.rt.atom_containers = containers;
-    cfg.rt.record_events = false;
     rispp::sim::Simulator sim(borrow(lib), cfg);
     sim.add_task({"enc", rispp::h264::make_encode_trace(lib, p)});
     totals.push_back(static_cast<double>(sim.run().total_cycles));
@@ -61,7 +59,6 @@ TEST(Integration, ForecastingBeatsNoForecasting) {
     auto params = p;
     params.forecast_every_mbs = every;
     rispp::sim::SimConfig cfg;
-    cfg.rt.record_events = false;
     rispp::sim::Simulator sim(borrow(lib), cfg);
     sim.add_task({"enc", rispp::h264::make_encode_trace(lib, params)});
     return sim.run().total_cycles;
@@ -83,7 +80,6 @@ TEST(Integration, AesPlanDrivesRuntimeSpeedup) {
 
   rispp::rt::RtConfig rcfg;
   rcfg.atom_containers = 8;  // fits the Reps of SUBBYTES + MIXCOLUMNS
-  rcfg.record_events = false;
   rispp::rt::RisppManager mgr(borrow(lib), rcfg);
   // Fire every planned FC block once at t = 0 …
   for (const auto& fb : plan.blocks) mgr.on_fc_block(fb, 0);

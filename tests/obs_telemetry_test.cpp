@@ -15,6 +15,7 @@
 #include <string>
 #include <unistd.h>
 
+#include "rispp/obs/chrome_trace.hpp"
 #include "rispp/obs/flight_recorder.hpp"
 #include "rispp/obs/json.hpp"
 #include "rispp/obs/telemetry.hpp"
@@ -85,6 +86,43 @@ TEST(ScopedSpan, KeepSpansOffStillFeedsTheFlightRing) {
   }
   EXPECT_TRUE(tel.spans().empty());
   EXPECT_EQ(tel.flight().ring(0).pushed(), 2u);  // enter + exit
+}
+
+TEST(HostChromeTrace, SpansBecomeCompleteEventsOnePerThreadTrack) {
+  // Wall-clock spans render as their own "rispp host" process (pid 2):
+  // one named track per thread ordinal up to the highest one seen, and one
+  // complete ("X") event per span with microsecond ts/dur and its depth.
+  const std::vector<TelemetrySpan> spans = {
+      {.name = "sweep", .start_ns = 0, .end_ns = 10000, .thread = 0},
+      {.name = "point.sim", .detail = "#3", .start_ns = 1000,
+       .end_ns = 3500, .thread = 2, .depth = 1},
+  };
+  std::ostringstream os;
+  write_host_chrome_trace(os, spans);
+  const auto doc = json::parse(os.str());
+  std::vector<std::string> tracks;
+  std::vector<const json::Value*> complete;
+  for (const auto& e : doc.at("traceEvents").items()) {
+    EXPECT_EQ(e.at("pid").as_u64(), 2u);
+    const auto& name = e.at("name").as_string();
+    if (name == "process_name")
+      EXPECT_EQ(e.at("args").at("name").as_string(), "rispp host");
+    else if (name == "thread_name")
+      tracks.push_back(e.at("args").at("name").as_string());
+    else
+      complete.push_back(&e);
+  }
+  EXPECT_EQ(tracks,
+            (std::vector<std::string>{"host", "worker 1", "worker 2"}));
+  ASSERT_EQ(complete.size(), 2u);
+  const auto& sim = *complete[1];
+  EXPECT_EQ(sim.at("name").as_string(), "point.sim #3");
+  EXPECT_EQ(sim.at("ph").as_string(), "X");
+  EXPECT_EQ(sim.at("tid").as_u64(), 2u);
+  EXPECT_EQ(sim.at("ts").token(), "1");
+  EXPECT_EQ(sim.at("dur").token(), "2.5");
+  EXPECT_EQ(sim.at("args").at("depth").as_u64(), 1u);
+  EXPECT_EQ(complete[0]->at("dur").token(), "10");
 }
 
 TEST(FlightRing, BoundsRetentionAndCountsDrops) {

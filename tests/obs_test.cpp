@@ -1,4 +1,4 @@
-/// Observability layer: event sinks, metrics registry, exporters (golden
+/// Observability layer: event sinks, exporters (golden
 /// Chrome-trace file, CSV round-trip), trace summarization, and end-to-end
 /// instrumentation of the simulator + run-time manager.
 
@@ -11,7 +11,7 @@
 
 #include "rispp/obs/chrome_trace.hpp"
 #include "rispp/obs/csv_trace.hpp"
-#include "rispp/obs/metrics.hpp"
+#include "rispp/obs/json.hpp"
 #include "rispp/obs/summary.hpp"
 #include "rispp/sim/observe.hpp"
 #include "rispp/sim/simulator.hpp"
@@ -76,40 +76,6 @@ TEST(TraceMetaNames, FallBackToIndexed) {
   EXPECT_EQ(meta.si_name(7), "si#7");
   EXPECT_EQ(meta.task_name(3), "task#3");
   EXPECT_EQ(meta.atom_name(-1), "atom#-1");
-}
-
-TEST(MetricsRegistry, CountersAccumulatorsHistograms) {
-  MetricsRegistry reg;
-  reg.bump("rotations");
-  reg.bump("rotations", 4);
-  EXPECT_EQ(reg.counter("rotations"), 5u);
-  EXPECT_EQ(reg.counter("missing"), 0u);
-
-  reg.accumulator("latency").add(10.0);
-  reg.accumulator("latency").add(20.0);
-  EXPECT_DOUBLE_EQ(reg.accumulator("latency").mean(), 15.0);
-
-  auto& h = reg.histogram("lat_hist", 0.0, 100.0, 10);
-  h.add(42.0);
-  EXPECT_EQ(reg.histogram("lat_hist", 0.0, 100.0, 10).total(), 1u);
-  EXPECT_THROW(reg.histogram("lat_hist", 0.0, 50.0, 10), PreconditionError);
-
-  const auto text = reg.summary();
-  EXPECT_NE(text.find("rotations 5"), std::string::npos);
-  EXPECT_NE(text.find("latency n=2"), std::string::npos);
-}
-
-TEST(MetricsSink, FoldsEventStream) {
-  MetricsRegistry reg;
-  MetricsSink sink(reg, tiny_meta());
-  for (const auto& e : tiny_stream()) sink.on_event(e);
-  EXPECT_EQ(reg.counter("events.si-executed"), 2u);
-  EXPECT_EQ(reg.counter("exec.hw"), 1u);
-  EXPECT_EQ(reg.counter("exec.sw"), 1u);
-  EXPECT_EQ(reg.accumulator("si.SATD.cycles").count(), 2u);
-  EXPECT_DOUBLE_EQ(reg.accumulator("rotation.cycles").mean(), 500.0);
-  // Forecast at cycle 0, upgrade at 700 → gap 700.
-  EXPECT_DOUBLE_EQ(reg.accumulator("si.SATD.upgrade_gap").mean(), 700.0);
 }
 
 TEST(CsvTrace, RoundTripsEventsAndNames) {
@@ -201,6 +167,38 @@ TEST(ChromeTrace, CancelledRotationSpansAreDropped) {
   const auto json = os.str();
   EXPECT_EQ(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("cancel Transform"), std::string::npos);
+}
+
+TEST(ChromeTrace, FaultsAreInstantsAndNamesAreEscaped) {
+  // A failed transfer and the quarantine it caused land on the container's
+  // track as "fault" instants; names with quotes, backslashes and control
+  // characters still yield valid JSON that parses back to the same name.
+  auto meta = tiny_meta();
+  meta.atom_names = {"Trans\"form\\\n\t\x01"};
+  const std::vector<Event> events = {
+      {.at = 10, .kind = EventKind::RotationStarted, .container = 1, .si = 0,
+       .atom = 0, .cycles = 500},
+      {.at = 510, .kind = EventKind::RotationFailed, .container = 1,
+       .atom = 0, .cycles = 500, .prev_cycles = 10},
+      {.at = 510, .kind = EventKind::AcQuarantined, .container = 1},
+  };
+  std::ostringstream os;
+  write_chrome_trace(os, events, meta, {.counter_tracks = false});
+  const auto doc = json::parse(os.str());
+  std::vector<std::string> faults;
+  for (const auto& e : doc.at("traceEvents").items()) {
+    const auto* cat = e.find("cat");
+    if (cat == nullptr || cat->as_string() != "fault") continue;
+    faults.push_back(e.at("name").as_string());
+    EXPECT_EQ(e.at("ph").as_string(), "i");
+    EXPECT_EQ(e.at("tid").as_u64(), 101u);  // AC 1's track
+    EXPECT_EQ(e.at("args").at("container").as_u64(), 1u);
+    if (const auto* atom = e.at("args").find("atom")) {
+      EXPECT_EQ(atom->as_string(), meta.atom_names[0]);
+    }
+  }
+  EXPECT_EQ(faults, (std::vector<std::string>{"fail " + meta.atom_names[0],
+                                              "quarantine AC 1"}));
 }
 
 TEST(Summarize, AggregatesTinyStream) {

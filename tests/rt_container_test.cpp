@@ -16,6 +16,7 @@ class Containers : public ::testing::Test {
   std::size_t quadsub_ = cat_.index_of("QuadSub");
   std::size_t pack_ = cat_.index_of("Pack");
   std::size_t transform_ = cat_.index_of("Transform");
+  std::unique_ptr<ReplacementPolicy> lru_ = make_replacement_policy("lru");
 };
 
 TEST_F(Containers, StartsEmpty) {
@@ -60,7 +61,7 @@ TEST_F(Containers, VictimPrefersEmpty) {
   cf.start_rotation(0, quadsub_, 10, kNoTask);
   cf.refresh(10);
   const auto target = cat_.zero();
-  const auto victim = cf.choose_victim(target, 20);
+  const auto victim = cf.choose_victim(target, 20, *lru_);
   ASSERT_TRUE(victim.has_value());
   EXPECT_NE(*victim, 0u);  // containers 1 and 2 are empty
 }
@@ -75,7 +76,7 @@ TEST_F(Containers, VictimIsLruExcessContainer) {
   used.set(pack_, 1);
   cf.touch(used, 100);
   // Target wants neither → both in excess; LRU = container 0 (QuadSub).
-  const auto victim = cf.choose_victim(cat_.zero(), 200);
+  const auto victim = cf.choose_victim(cat_.zero(), 200, *lru_);
   ASSERT_TRUE(victim.has_value());
   EXPECT_EQ(*victim, 0u);
 }
@@ -89,11 +90,11 @@ TEST_F(Containers, NeededContainersAreNotVictims) {
   rispp::atom::Molecule target(cat_.size());
   target.set(quadsub_, 1);
   target.set(pack_, 1);
-  EXPECT_FALSE(cf.choose_victim(target, 100).has_value());
+  EXPECT_FALSE(cf.choose_victim(target, 100, *lru_).has_value());
   // Target needs only Pack → QuadSub's container is expendable.
   rispp::atom::Molecule target2(cat_.size());
   target2.set(pack_, 1);
-  const auto victim = cf.choose_victim(target2, 100);
+  const auto victim = cf.choose_victim(target2, 100, *lru_);
   ASSERT_TRUE(victim.has_value());
   EXPECT_EQ(*victim, 0u);
 }
@@ -102,10 +103,10 @@ TEST_F(Containers, BusyContainerIsNotVictim) {
   ContainerFile cf(1, cat_);
   cf.start_rotation(0, quadsub_, 1000, kNoTask);
   // At cycle 10 the transfer is still in flight — not preemptible.
-  EXPECT_FALSE(cf.choose_victim(cat_.zero(), 10).has_value());
+  EXPECT_FALSE(cf.choose_victim(cat_.zero(), 10, *lru_).has_value());
   // After completion it becomes a normal (excess) victim.
   cf.refresh(1000);
-  EXPECT_TRUE(cf.choose_victim(cat_.zero(), 1000).has_value());
+  EXPECT_TRUE(cf.choose_victim(cat_.zero(), 1000, *lru_).has_value());
 }
 
 TEST_F(Containers, AggregationCountsInstances) {
@@ -122,17 +123,18 @@ TEST_F(Containers, AggregationCountsInstances) {
 
 TEST_F(Containers, RoundRobinVictimRotatesThroughContainers) {
   // Regression: the seed picked the lowest-id expendable container on every
-  // eviction ("round-robin" in name only). The per-file cursor must cycle.
+  // eviction ("round-robin" in name only). The policy's cursor must cycle.
   ContainerFile cf(3, cat_);
   cf.start_rotation(0, transform_, 10, kNoTask);
   cf.start_rotation(1, transform_, 20, kNoTask);
   cf.start_rotation(2, transform_, 30, kNoTask);
   cf.refresh(30);
+  const auto rr = make_replacement_policy("round-robin");
   const auto target = cat_.zero();  // everything is excess
-  const auto v0 = cf.choose_victim(target, 100, VictimPolicy::RoundRobinExcess);
-  const auto v1 = cf.choose_victim(target, 100, VictimPolicy::RoundRobinExcess);
-  const auto v2 = cf.choose_victim(target, 100, VictimPolicy::RoundRobinExcess);
-  const auto v3 = cf.choose_victim(target, 100, VictimPolicy::RoundRobinExcess);
+  const auto v0 = cf.choose_victim(target, 100, *rr);
+  const auto v1 = cf.choose_victim(target, 100, *rr);
+  const auto v2 = cf.choose_victim(target, 100, *rr);
+  const auto v3 = cf.choose_victim(target, 100, *rr);
   ASSERT_TRUE(v0 && v1 && v2 && v3);
   EXPECT_EQ(*v0, 0u);
   EXPECT_EQ(*v1, 1u);

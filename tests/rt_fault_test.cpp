@@ -18,6 +18,8 @@
 #include "rispp/sim/observe.hpp"
 #include "rispp/sim/simulator.hpp"
 #include "rispp/util/error.hpp"
+#include "rispp/workload/trace_source.hpp"
+#include "rotation_lifecycle.hpp"
 
 namespace {
 
@@ -27,11 +29,14 @@ using rispp::hw::ReconfigPort;
 using rispp::hw::TransferFault;
 using rispp::hw::TransferResult;
 using rispp::isa::borrow;
+using rispp::obs::EventKind;
+using rispp::obs::TraceRecorder;
 using rispp::rt::Cycle;
 using rispp::rt::RisppManager;
 using rispp::rt::RotationScheduler;
 using rispp::rt::RtConfig;
-using rispp::rt::RtEvent;
+using rotation_lifecycle::check_rotation_lifecycle;
+using rotation_lifecycle::Terminal;
 
 // --- hw::FaultModel ------------------------------------------------------
 
@@ -174,23 +179,6 @@ TEST(FaultScheduler, CancelledFaultyBookingIsNeverDelivered) {
 
 // --- RisppManager reaction ----------------------------------------------
 
-/// Counts terminal rotation events: every RotationStart must be matched by
-/// exactly one of Done / Cancelled / Failed once the run is drained.
-void expect_rotation_lifecycle_closed(const std::vector<RtEvent>& events) {
-  std::uint64_t starts = 0, dones = 0, cancelled = 0, failed = 0;
-  for (const auto& e : events) {
-    switch (e.kind) {
-      case RtEvent::Kind::RotationStart: ++starts; break;
-      case RtEvent::Kind::RotationDone: ++dones; break;
-      case RtEvent::Kind::RotationCancelled: ++cancelled; break;
-      case RtEvent::Kind::RotationFailed: ++failed; break;
-      default: break;
-    }
-  }
-  EXPECT_EQ(starts, dones + cancelled + failed)
-      << "a rotation was issued but never reached a terminal state";
-}
-
 /// Polls the manager at every wakeup until the platform settles.
 Cycle drain(RisppManager& mgr, Cycle from) {
   Cycle t = from;
@@ -206,7 +194,9 @@ Cycle drain(RisppManager& mgr, Cycle from) {
 
 TEST(FaultRecovery, FailedRotationBacksOffThenRetriesAndRecovers) {
   const auto lib = rispp::isa::parse_si_library(kOneAtomLibrary);
+  TraceRecorder recorder;
   RtConfig cfg;
+  cfg.sink = &recorder;
   cfg.atom_containers = 1;
   cfg.faults =
       FaultModel::schedule({{0, {TransferResult::Failed, 1.0}}});
@@ -246,7 +236,8 @@ TEST(FaultRecovery, FailedRotationBacksOffThenRetriesAndRecovers) {
   const auto end = drain(mgr, *unblock);
   EXPECT_TRUE(mgr.execute(lib.index_of("XA"), end + 1).hardware);
   EXPECT_EQ(mgr.containers().at(0).fail_streak, 0u);
-  expect_rotation_lifecycle_closed(mgr.events());
+  mgr.flush_events();
+  check_rotation_lifecycle(recorder.events(), mgr);
 }
 
 TEST(FaultRecovery, PoisonedTransferCountsSeparately) {
@@ -271,7 +262,9 @@ TEST(FaultRecovery, PoisonedTransferCountsSeparately) {
 
 TEST(FaultRecovery, RepeatedFailuresQuarantineTheContainer) {
   const auto lib = rispp::isa::parse_si_library(kOneAtomLibrary);
+  TraceRecorder recorder;
   RtConfig cfg;
+  cfg.sink = &recorder;
   cfg.atom_containers = 1;
   cfg.faults = FaultModel::probabilistic(11, 1.0);  // every transfer fails
   cfg.max_rotation_retries = 1;
@@ -295,11 +288,12 @@ TEST(FaultRecovery, RepeatedFailuresQuarantineTheContainer) {
   EXPECT_FALSE(exec.hardware);
   EXPECT_EQ(exec.cycles, 1000u);
 
+  mgr.flush_events();
   bool saw_quarantine_event = false;
-  for (const auto& e : mgr.events())
-    if (e.kind == RtEvent::Kind::AcQuarantined) saw_quarantine_event = true;
+  for (const auto& e : recorder.events())
+    if (e.kind == EventKind::AcQuarantined) saw_quarantine_event = true;
   EXPECT_TRUE(saw_quarantine_event);
-  expect_rotation_lifecycle_closed(mgr.events());
+  check_rotation_lifecycle(recorder.events(), mgr);
 }
 
 TEST(FaultRecovery, BackoffGrowsExponentiallyWithTheStreak) {
@@ -338,7 +332,7 @@ TEST(FaultRecovery, BackoffGrowsExponentiallyWithTheStreak) {
 // --- cancel-stale interaction (bugfix-sweep audit) -----------------------
 
 /// Three-instance molecule: one forecast issues three serialized rotations,
-/// so a Failed transfer can sit between two clean (tombstoned) ones.
+/// so a Failed transfer can sit between two clean ones.
 const char* kThreeAtomLibrary = R"(
 catalog
   atom P slices=100 luts=200 bitstream=50000 rotatable
@@ -351,26 +345,28 @@ end
 
 TEST(FaultCancelStale, FailedBetweenTwoDonesDoesNotSkipTombstones) {
   const auto lib = rispp::isa::parse_si_library(kThreeAtomLibrary);
+  TraceRecorder recorder;
   RtConfig cfg;
   cfg.atom_containers = 3;
   cfg.cancel_stale_rotations = true;
+  cfg.sink = &recorder;
   cfg.faults =
       FaultModel::schedule({{1, {TransferResult::Failed, 1.0}}});
   RisppManager mgr(borrow(lib), cfg);
 
-  // One forecast → three serialized transfers: seq 0 Ok (tombstoned Done),
-  // seq 1 Failed (no tombstone), seq 2 Ok (tombstoned Done).
+  // One forecast → three serialized transfers: seq 0 Ok (finish announced),
+  // seq 1 Failed (no finish announced), seq 2 Ok (finish announced).
   mgr.forecast(lib.index_of("XA"), 1000, 1.0, 0);
   ASSERT_EQ(mgr.rotations_performed(), 3u);
-  std::uint64_t dones = 0;
-  for (const auto& e : mgr.events())
-    if (e.kind == RtEvent::Kind::RotationDone) ++dones;
-  ASSERT_EQ(dones, 2u) << "a faulty booking must not pre-record a Done";
+  std::uint64_t finishes = 0;
+  for (const auto& e : recorder.events())
+    if (e.kind == EventKind::RotationFinished) ++finishes;
+  ASSERT_EQ(finishes, 2u) << "a faulty booking must not announce a finish";
 
   // Releasing the demand before the second transfer starts cancels both
   // queued bookings — the Failed one (whose pending failure must die with
-  // it) and the last Ok one (whose tombstoned Done is erased by index, with
-  // the Failed booking sitting between the two tombstoned events).
+  // it) and the last Ok one (whose announced finish the cancellation
+  // overrides, with the Failed booking sitting between the two).
   mgr.forecast_release(lib.index_of("XA"), 1);
   EXPECT_EQ(mgr.rotations_cancelled(), 2u);
   EXPECT_EQ(mgr.rotations_performed(), 1u);
@@ -380,16 +376,15 @@ TEST(FaultCancelStale, FailedBetweenTwoDonesDoesNotSkipTombstones) {
   // The cancelled faulty transfer never reports: only terminated cleanly.
   EXPECT_EQ(mgr.counters().get("rotations_failed"), 0u);
 
-  dones = 0;
-  std::optional<unsigned> done_container;
-  for (const auto& e : mgr.events())
-    if (e.kind == RtEvent::Kind::RotationDone) {
-      ++dones;
-      done_container = e.container;
-    }
-  EXPECT_EQ(dones, 1u) << "exactly the first transfer's Done must survive";
-  EXPECT_EQ(done_container, std::optional<unsigned>(0u));
-  expect_rotation_lifecycle_closed(mgr.events());
+  mgr.flush_events();
+  const auto lifecycle = check_rotation_lifecycle(recorder.events(), mgr);
+  ASSERT_EQ(lifecycle.spans.size(), 3u);
+  EXPECT_EQ(lifecycle.count(Terminal::Finished), 1u)
+      << "exactly the first transfer may finish";
+  EXPECT_EQ(lifecycle.spans[0].container, 0);
+  EXPECT_EQ(lifecycle.spans[0].terminal, Terminal::Finished);
+  EXPECT_EQ(lifecycle.spans[1].terminal, Terminal::Cancelled);
+  EXPECT_EQ(lifecycle.spans[2].terminal, Terminal::Cancelled);
 }
 
 // --- zero-fault differential --------------------------------------------
@@ -402,16 +397,12 @@ std::string read_file(const std::string& path) {
   return ss.str();
 }
 
-/// The fig06 scenario of rt_kernel_test, with the fault subsystem
+/// The fig06 scenario (TraceSource::make_fig06), with the fault subsystem
 /// explicitly configured (none() model + non-default retry knobs): the
 /// recorded trace must be byte-identical to the pre-fault golden.
 TEST(FaultDifferential, NoneModelReproducesFig06GoldenByteForByte) {
   const auto lib = rispp::isa::SiLibrary::h264();
-  const auto satd = lib.index_of("SATD_4x4");
-  const auto si0 = lib.index_of("HT_2x2");
-  const auto si1 = lib.index_of("HT_4x4");
-
-  rispp::obs::TraceRecorder recorder;
+  TraceRecorder recorder;
   rispp::sim::SimConfig cfg;
   cfg.rt.atom_containers = 6;
   cfg.quantum = 25000;
@@ -420,36 +411,9 @@ TEST(FaultDifferential, NoneModelReproducesFig06GoldenByteForByte) {
   cfg.rt.max_rotation_retries = 7;     // retry knobs are dead config
   cfg.rt.retry_backoff_cycles = 12345; // without a fault model
   rispp::sim::Simulator sim(borrow(lib), cfg);
-
-  rispp::sim::Trace a;
-  a.push_back(rispp::sim::TraceOp::label(
-      "T0: steady state — A forecasts SATD_4x4"));
-  a.push_back(rispp::sim::TraceOp::forecast(satd, 5000));
-  for (int i = 0; i < 120; ++i) {
-    a.push_back(rispp::sim::TraceOp::compute(10000));
-    a.push_back(rispp::sim::TraceOp::si(satd, 50));
-  }
-  rispp::sim::Trace b;
-  b.push_back(rispp::sim::TraceOp::forecast(si0, 50));
-  b.push_back(rispp::sim::TraceOp::compute(700000));
-  b.push_back(rispp::sim::TraceOp::si(si0, 20));
-  b.push_back(rispp::sim::TraceOp::label(
-      "T1: B forecasts the more important SI1"));
-  b.push_back(rispp::sim::TraceOp::forecast(si1, 2000000));
-  for (int i = 0; i < 8; ++i) {
-    b.push_back(rispp::sim::TraceOp::compute(40000));
-    b.push_back(rispp::sim::TraceOp::si(si1, 100));
-  }
-  b.push_back(rispp::sim::TraceOp::label(
-      "T2: forecast states SI1 no longer needed"));
-  b.push_back(rispp::sim::TraceOp::release(si1));
-  b.push_back(rispp::sim::TraceOp::label(
-      "T3: B's SI0 reuses containers now owned by A"));
-  b.push_back(rispp::sim::TraceOp::si(si0, 20));
-  sim.add_task({"A", std::move(a)});
-  sim.add_task({"B", std::move(b)});
-
+  rispp::workload::TraceSource::make_fig06(lib)->add_to(sim);
   (void)sim.run();
+
   const auto path = ::testing::TempDir() + "rispp_fig06_nofault.csv";
   rispp::obs::write_trace_file(path, recorder.events(),
                                make_trace_meta(lib, cfg, {"A", "B"}));

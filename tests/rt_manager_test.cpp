@@ -5,11 +5,14 @@
 
 #include "rispp/rt/manager.hpp"
 #include "rispp/util/error.hpp"
+#include "rotation_lifecycle.hpp"
 
 namespace {
 
 using namespace rispp::rt;
 using rispp::isa::SiLibrary;
+using rispp::obs::EventKind;
+using rispp::obs::TraceRecorder;
 
 RtConfig fast_config() {
   RtConfig cfg;
@@ -134,7 +137,10 @@ TEST_F(Manager, MonitoringLearnsActualExecutions) {
 }
 
 TEST_F(Manager, EventTraceRecordsLifecycle) {
-  RisppManager mgr(borrow(lib_), fast_config());
+  TraceRecorder recorder;
+  RtConfig cfg = fast_config();
+  cfg.sink = &recorder;
+  RisppManager mgr(borrow(lib_), cfg);
   mgr.forecast(ht2_, 10, 1.0, 0);
   mgr.execute(ht2_, 1);       // software (rotation in flight)
   mgr.execute(ht2_, 300000);  // hardware
@@ -142,14 +148,13 @@ TEST_F(Manager, EventTraceRecordsLifecycle) {
 
   bool saw_forecast = false, saw_rot_start = false, saw_rot_done = false,
        saw_sw = false, saw_hw = false, saw_release = false;
-  for (const auto& e : mgr.events()) {
+  for (const auto& e : recorder.events()) {
     switch (e.kind) {
-      case RtEvent::Kind::Forecast: saw_forecast = true; break;
-      case RtEvent::Kind::RotationStart: saw_rot_start = true; break;
-      case RtEvent::Kind::RotationDone: saw_rot_done = true; break;
-      case RtEvent::Kind::ExecuteSw: saw_sw = true; break;
-      case RtEvent::Kind::ExecuteHw: saw_hw = true; break;
-      case RtEvent::Kind::ForecastRelease: saw_release = true; break;
+      case EventKind::ForecastSeen: saw_forecast = true; break;
+      case EventKind::RotationStarted: saw_rot_start = true; break;
+      case EventKind::RotationFinished: saw_rot_done = true; break;
+      case EventKind::SiExecuted: (e.hardware ? saw_hw : saw_sw) = true; break;
+      case EventKind::ForecastReleased: saw_release = true; break;
       default: break;
     }
   }
@@ -161,24 +166,17 @@ TEST_F(Manager, EventTraceRecordsLifecycle) {
   EXPECT_TRUE(saw_release);
 }
 
-TEST_F(Manager, EventRecordingCanBeDisabled) {
-  RtConfig cfg = fast_config();
-  cfg.record_events = false;
-  RisppManager mgr(borrow(lib_), cfg);
-  mgr.forecast(satd_, 100, 1.0, 0);
-  mgr.execute(satd_, 10);
-  EXPECT_TRUE(mgr.events().empty());
-  EXPECT_GT(mgr.counters().get("forecasts"), 0u);  // counters still work
-}
-
 TEST_F(Manager, RotationsSerializeOverThePort) {
   // Four needed atoms must complete one after another: the i-th completion
   // time is at least i × min bitstream duration.
-  RisppManager mgr(borrow(lib_), fast_config());
+  TraceRecorder recorder;
+  RtConfig cfg = fast_config();
+  cfg.sink = &recorder;
+  RisppManager mgr(borrow(lib_), cfg);
   mgr.forecast(satd_, 256, 1.0, 0);
   std::vector<Cycle> completions;
-  for (const auto& e : mgr.events())
-    if (e.kind == RtEvent::Kind::RotationDone) completions.push_back(e.at);
+  for (const auto& e : recorder.events())
+    if (e.kind == EventKind::RotationFinished) completions.push_back(e.at);
   ASSERT_EQ(completions.size(), 4u);
   for (std::size_t i = 1; i < completions.size(); ++i)
     EXPECT_GT(completions[i], completions[i - 1]);
@@ -221,8 +219,10 @@ TEST_F(Manager, StaleRotationCancellation) {
   // to HT_4x4 before any-but-the-first transfer started: with cancellation
   // on, the queued stale transfers are dropped, their containers freed, and
   // the HT atoms start loading right away.
+  TraceRecorder recorder;
   RtConfig cfg = fast_config();
   cfg.cancel_stale_rotations = true;
+  cfg.sink = &recorder;
   RisppManager mgr(borrow(lib_), cfg);
   const auto ht4 = lib_.index_of("HT_4x4");
 
@@ -242,22 +242,17 @@ TEST_F(Manager, StaleRotationCancellation) {
   const auto res = mgr.execute(ht4, 2'000'000);
   EXPECT_TRUE(res.hardware);
 
-  // Event trace consistency: every recorded RotationDone corresponds to a
-  // rotation that was not cancelled.
-  std::uint64_t starts = 0, dones = 0, cancels = 0;
-  for (const auto& e : mgr.events()) {
-    if (e.kind == RtEvent::Kind::RotationStart) ++starts;
-    if (e.kind == RtEvent::Kind::RotationDone) ++dones;
-    if (e.kind == RtEvent::Kind::RotationCancelled) ++cancels;
-  }
-  EXPECT_EQ(cancels, mgr.rotations_cancelled());
-  EXPECT_EQ(dones, mgr.rotations_performed());
-  EXPECT_EQ(starts, dones + cancels);
+  // Event stream consistency: every cancellation overrides the finish
+  // announced at issue time, and every other rotation finished.
+  mgr.flush_events();
+  rotation_lifecycle::check_rotation_lifecycle(recorder.events(), mgr);
 }
 
 TEST_F(Manager, CancellationRefundsRotationEnergy) {
+  TraceRecorder recorder;
   RtConfig cfg = fast_config();
   cfg.cancel_stale_rotations = true;
+  cfg.sink = &recorder;
   RisppManager mgr(borrow(lib_), cfg);
   mgr.forecast(satd_, 1000, 1.0, 0);
   const double charged = mgr.energy().rotation_nj();
@@ -266,12 +261,16 @@ TEST_F(Manager, CancellationRefundsRotationEnergy) {
   // Some of the charged rotation energy was refunded.
   EXPECT_LT(mgr.energy().rotation_nj(), charged + 80000.0);
   EXPECT_GE(mgr.energy().rotation_nj(), 0.0);
+  mgr.flush_events();
+  rotation_lifecycle::check_rotation_lifecycle(recorder.events(), mgr);
 }
 
 TEST_F(Manager, InFlightTransferIsNeverCancelled) {
+  TraceRecorder recorder;
   RtConfig cfg = fast_config();
   cfg.atom_containers = 1;
   cfg.cancel_stale_rotations = true;
+  cfg.sink = &recorder;
   RisppManager mgr(borrow(lib_), cfg);
   const auto ht2 = lib_.index_of("HT_2x2");
   mgr.forecast(ht2, 100, 1.0, 0);  // Transform transfer starts immediately
@@ -281,6 +280,8 @@ TEST_F(Manager, InFlightTransferIsNeverCancelled) {
   mgr.forecast_release(ht2, 100);
   mgr.forecast(satd_, 1000, 1.0, 100);
   EXPECT_EQ(mgr.rotations_cancelled(), 0u);
+  mgr.flush_events();
+  rotation_lifecycle::check_rotation_lifecycle(recorder.events(), mgr);
 }
 
 TEST_F(Manager, LoadedSlicesMatchesRecomputeWalk) {
@@ -350,73 +351,6 @@ TEST_F(Manager, UsableAtomsMatchesAvailableRecompute) {
   mgr.forecast_release(satd_, 600001);
   mgr.forecast(dct_, 5000, 1.0, 600001);
   for (Cycle t = 600002; t <= 1300000; t += 30000) check(t);
-}
-
-TEST_F(Manager, EventCompactionIsInvisibleToReaders) {
-  // A cancelled rotation tombstones its pre-recorded RotationDone event
-  // instead of the seed's O(n) mid-vector erase; compaction happens lazily
-  // inside events(), remapping the surviving pending-done indices. Reading
-  // mid-stream — which compacts while later cancellations still reference
-  // events recorded after the holes — must yield exactly the same final
-  // trace as never reading until the end.
-  RtConfig cfg = fast_config();
-  cfg.cancel_stale_rotations = true;
-  const auto ht4 = lib_.index_of("HT_4x4");
-
-  RisppManager observed(borrow(lib_), cfg);  // events() read between waves
-  RisppManager control(borrow(lib_), cfg);   // events() read once at the end
-  const auto drive_wave1 = [&](RisppManager& mgr) {
-    mgr.forecast(satd_, 1000, 1.0, 0);
-    mgr.forecast_release(satd_, 10);  // strands 3 queued SATD transfers
-    mgr.forecast(ht4, 1'000'000, 1.0, 10);
-  };
-  const auto drive_wave2 = [&](RisppManager& mgr) {
-    // The port is still busy with the first SATD transfer, so HT_4x4's
-    // bookings are all queued — releasing it strands them in turn.
-    mgr.forecast_release(ht4, 20);
-    mgr.forecast(satd_, 1000, 1.0, 20);
-    (void)mgr.execute(satd_, 900000);
-    mgr.poll(2'000'000);
-  };
-
-  drive_wave1(observed);
-  drive_wave1(control);
-  const auto wave1_cancels = observed.rotations_cancelled();
-  ASSERT_GT(wave1_cancels, 0u);
-  // Mid-stream read: compacts wave 1's tombstones while the pending dones
-  // booked after them (HT_4x4's) still need their indices remapped for
-  // wave 2's cancellations to hit the right events.
-  const auto mid_size = observed.events().size();
-  EXPECT_GT(mid_size, 0u);
-
-  drive_wave2(observed);
-  drive_wave2(control);
-  ASSERT_GT(observed.rotations_cancelled(), wave1_cancels);
-
-  const auto& a = observed.events();
-  const auto& b = control.events();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].at, b[i].at) << "event " << i;
-    EXPECT_EQ(a[i].kind, b[i].kind) << "event " << i;
-    EXPECT_EQ(a[i].si_index, b[i].si_index) << "event " << i;
-    EXPECT_EQ(a[i].atom_kind, b[i].atom_kind) << "event " << i;
-    EXPECT_EQ(a[i].container, b[i].container) << "event " << i;
-    EXPECT_EQ(a[i].task, b[i].task) << "event " << i;
-    EXPECT_EQ(a[i].cycles, b[i].cycles) << "event " << i;
-  }
-
-  // The structural invariant the tombstones must preserve: every surviving
-  // RotationStart pairs with a completion, every cancellation dropped one.
-  std::uint64_t starts = 0, dones = 0, cancels = 0;
-  for (const auto& e : a) {
-    if (e.kind == RtEvent::Kind::RotationStart) ++starts;
-    if (e.kind == RtEvent::Kind::RotationDone) ++dones;
-    if (e.kind == RtEvent::Kind::RotationCancelled) ++cancels;
-  }
-  EXPECT_EQ(cancels, observed.rotations_cancelled());
-  EXPECT_EQ(dones, observed.rotations_performed());
-  EXPECT_EQ(starts, dones + cancels);
 }
 
 TEST_F(Manager, ForecastValidation) {

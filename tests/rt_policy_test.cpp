@@ -1,5 +1,5 @@
-/// Policy-seam tests: the string-keyed factory, replacement strategy
-/// objects vs the legacy enum path, and the first-class ExhaustiveSelector.
+/// Policy-seam tests: the string-keyed factory, the replacement strategy
+/// objects, and the first-class ExhaustiveSelector.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,8 @@
 namespace {
 
 using namespace rispp::rt;
+using rispp::isa::SiLibrary;
+using rispp::util::Error;
 using rispp::util::PreconditionError;
 
 class Policies : public ::testing::Test {
@@ -74,48 +76,27 @@ TEST_F(Policies, CustomRegistrationIsConstructible) {
   EXPECT_EQ(mgr.replacement_policy().name(), "lru");
 }
 
-// The enum→key shim: the deprecated RtConfig::set_victim_policy() path must
-// keep steering the replacement factory while no string key is set. This
-// test is the one sanctioned user of the deprecated setter.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST_F(Policies, LegacyVictimPolicyEnumMapsToFactoryKeys) {
-  EXPECT_STREQ(to_policy_name(VictimPolicy::LruExcess), "lru");
-  EXPECT_STREQ(to_policy_name(VictimPolicy::MruExcess), "mru");
-  EXPECT_STREQ(to_policy_name(VictimPolicy::RoundRobinExcess), "round-robin");
-  RtConfig cfg;
-  cfg.set_victim_policy(VictimPolicy::MruExcess);  // no factory key set
-  RisppManager mgr(borrow(lib_), cfg);
-  EXPECT_EQ(mgr.replacement_policy().name(), "mru");
-  // The string key wins over the enum as soon as it is non-empty.
-  cfg.replacement_policy = "round-robin";
-  RisppManager keyed(borrow(lib_), cfg);
-  EXPECT_EQ(keyed.replacement_policy().name(), "round-robin");
-}
-#pragma GCC diagnostic pop
-
-TEST_F(Policies, LruAndMruPicksMatchTheLegacyEnumPath) {
+TEST_F(Policies, LruAndMruPickTheirVictims) {
+  // Three Transform instances loaded at 10/20/30; one touch at cycle 100
+  // marks the lowest id (all timestamps tie at 0), so container 0 is the
+  // most recently used and containers 1 and 2 tie as least recently used.
   const auto& cat = lib_.catalog();
   const auto transform = cat.index_of("Transform");
-  for (const auto policy :
-       {VictimPolicy::LruExcess, VictimPolicy::MruExcess}) {
-    ContainerFile legacy(3, cat), strategic(3, cat);
-    for (unsigned c = 0; c < 3; ++c) {
-      legacy.start_rotation(c, transform, 10 * (c + 1), kNoTask);
-      strategic.start_rotation(c, transform, 10 * (c + 1), kNoTask);
-    }
-    legacy.refresh(30);
-    strategic.refresh(30);
-    rispp::atom::Molecule one(cat.size());
-    one.set(transform, 1);
-    legacy.touch(one, 100);
-    strategic.touch(one, 100);
-    auto obj = make_replacement_policy(to_policy_name(policy));
-    const auto a = legacy.choose_victim(cat.zero(), 200, policy);
-    const auto b = strategic.choose_victim(cat.zero(), 200, *obj);
-    ASSERT_TRUE(a && b);
-    EXPECT_EQ(*a, *b) << to_policy_name(policy);
-  }
+  ContainerFile file(3, cat);
+  for (unsigned c = 0; c < 3; ++c)
+    file.start_rotation(c, transform, 10 * (c + 1), kNoTask);
+  file.refresh(30);
+  rispp::atom::Molecule one(cat.size());
+  one.set(transform, 1);
+  file.touch(one, 100);
+
+  const auto lru = make_replacement_policy("lru");
+  const auto mru = make_replacement_policy("mru");
+  EXPECT_EQ(file.choose_victim(cat.zero(), 200, *lru), 1u);  // tie → low id
+  EXPECT_EQ(file.choose_victim(cat.zero(), 200, *mru), 0u);
+  // A default RtConfig replaces least-recently-used.
+  EXPECT_EQ(RisppManager(borrow(lib_), RtConfig{}).replacement_policy().name(),
+            "lru");
 }
 
 TEST_F(Policies, SharedBenefitIsPolicyIndependent) {
@@ -207,6 +188,45 @@ TEST_F(Policies, ManagerRotatesUnderExhaustiveSelection) {
   // After the transfers complete, the SI executes in hardware.
   const auto res = mgr.execute(lib_.index_of("SATD_4x4"), 10'000'000);
   EXPECT_TRUE(res.hardware);
+}
+
+// Construction-time RtConfig validation: unknown factory keys and
+// out-of-range knobs fail before any manager state exists.
+TEST(RtConfigValidation, UnknownFactoryKeysThrowListingRegistered) {
+  const auto lib = rispp::isa::share(SiLibrary::h264());
+  RtConfig bad_selection;
+  bad_selection.selection_policy = "greedyy";
+  try {
+    const RisppManager mgr(lib, bad_selection);
+    FAIL() << "expected util::Error";
+  } catch (const Error& e) {  // PreconditionError is-a util::Error
+    const std::string what = e.what();
+    EXPECT_NE(what.find("greedyy"), std::string::npos);
+    EXPECT_NE(what.find("greedy"), std::string::npos);
+    EXPECT_NE(what.find("exhaustive"), std::string::npos);
+  }
+  RtConfig bad_replacement;
+  bad_replacement.replacement_policy = "fifo";
+  try {
+    validate(bad_replacement);
+    FAIL() << "expected util::Error";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("fifo"), std::string::npos);
+    EXPECT_NE(what.find("lru"), std::string::npos);
+    EXPECT_NE(what.find("round-robin"), std::string::npos);
+  }
+}
+
+TEST(RtConfigValidation, RangeChecksFireAtConstruction) {
+  const auto lib = rispp::isa::share(SiLibrary::h264());
+  RtConfig no_containers;
+  no_containers.atom_containers = 0;
+  EXPECT_THROW(RisppManager(lib, no_containers), PreconditionError);
+  RtConfig bad_rate;
+  bad_rate.learning_rate = 1.5;
+  EXPECT_THROW(validate(bad_rate), PreconditionError);
+  EXPECT_NO_THROW(validate(RtConfig{}));
 }
 
 }  // namespace

@@ -157,4 +157,41 @@ TEST_F(Sim, ResultSiLookupThrowsOnUnknown) {
   EXPECT_THROW(r.si("SATD_4x4"), PreconditionError);  // never invoked
 }
 
+// The shared_ptr library contract: simulators and managers co-own one
+// immutable snapshot, and a null library is rejected up front.
+TEST(SharedLibrary, ComponentsShareOneSnapshot) {
+  const auto lib = rispp::isa::share(SiLibrary::h264());
+  const Simulator sim(lib, {});
+  const rispp::rt::RisppManager mgr(lib, {});
+  EXPECT_EQ(sim.library_ptr().get(), lib.get());
+  EXPECT_EQ(mgr.library_ptr().get(), lib.get());
+  EXPECT_EQ(&mgr.library(), lib.get());
+  // share() moved the value into shared ownership; borrow() views a
+  // caller-kept instance without taking ownership.
+  const auto local = SiLibrary::h264();
+  EXPECT_EQ(rispp::isa::borrow(local).get(), &local);
+}
+
+TEST(SharedLibrary, NullLibraryIsRejected) {
+  EXPECT_THROW(rispp::rt::RisppManager(nullptr, {}), PreconditionError);
+  EXPECT_THROW(Simulator(nullptr, {}), PreconditionError);
+}
+
+TEST(DrivingEnum, ParseAndPrintRoundTrip) {
+  EXPECT_EQ(parse_driving("wakeups"), Driving::Wakeups);
+  EXPECT_EQ(parse_driving("poll-every-switch"),
+            Driving::PollEverySwitch);
+  EXPECT_STREQ(to_string(Driving::Wakeups), "wakeups");
+  EXPECT_STREQ(to_string(Driving::PollEverySwitch),
+               "poll-every-switch");
+  try {
+    parse_driving("sometimes");
+    FAIL() << "expected PreconditionError";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("wakeups"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("poll-every-switch"),
+              std::string::npos);
+  }
+}
+
 }  // namespace

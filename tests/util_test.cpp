@@ -160,44 +160,6 @@ TEST(Accumulator, MergeSingleIntoManyMatchesSequential) {
   EXPECT_NEAR(merged.variance(), sequential.variance(), 1e-12);
 }
 
-TEST(Histogram, BucketsAndSaturation) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bucket 0
-  h.add(9.5);   // bucket 4
-  h.add(-3.0);  // clamps to bucket 0
-  h.add(42.0);  // clamps to bucket 4
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(4), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(1), 4.0);
-}
-
-TEST(Histogram, RejectsDegenerateRange) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), PreconditionError);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), PreconditionError);
-}
-
-TEST(Histogram, PercentileReturnsBucketEdges) {
-  Histogram h(0.0, 10.0, 5);  // buckets of width 2
-  for (int i = 0; i < 9; ++i) h.add(1.0);  // bucket 0: [0, 2)
-  h.add(9.0);                              // bucket 4: [8, 10)
-  // Nearest rank: ceil(0.5 * 10) = 5th sample → bucket 0.
-  EXPECT_EQ(h.percentile(0.5), (PercentileBound{0.0, 2.0}));
-  // ceil(0.9 * 10) = 9th sample still in bucket 0; the 10th is the outlier.
-  EXPECT_EQ(h.percentile(0.9), (PercentileBound{0.0, 2.0}));
-  EXPECT_EQ(h.percentile(0.99), (PercentileBound{8.0, 10.0}));
-  EXPECT_EQ(h.percentile(1.0), (PercentileBound{8.0, 10.0}));
-}
-
-TEST(Histogram, PercentileRejectsBadArguments) {
-  Histogram h(0.0, 1.0, 2);
-  EXPECT_THROW(h.percentile(0.5), PreconditionError);  // empty histogram
-  h.add(0.5);
-  EXPECT_THROW(h.percentile(0.0), PreconditionError);  // q must be in (0, 1]
-  EXPECT_THROW(h.percentile(1.5), PreconditionError);
-}
-
 TEST(LogHistogram, PowerOfTwoBuckets) {
   LogHistogram h;
   h.add(0);    // bucket 0 holds exactly {0}
@@ -225,8 +187,14 @@ TEST(LogHistogram, PercentileBracketsNearestRank) {
   EXPECT_EQ(h.percentile(0.5), (PercentileBound{16.0, 32.0}));
   EXPECT_EQ(h.percentile(0.99), (PercentileBound{16.0, 32.0}));
   EXPECT_EQ(h.percentile(1.0), (PercentileBound{512.0, 1024.0}));
-  LogHistogram empty;
-  EXPECT_THROW(empty.percentile(0.5), PreconditionError);
+}
+
+TEST(LogHistogram, PercentileRejectsBadArguments) {
+  LogHistogram h;
+  EXPECT_THROW(h.percentile(0.5), PreconditionError);  // empty histogram
+  h.add(7);
+  EXPECT_THROW(h.percentile(0.0), PreconditionError);  // q must be in (0, 1]
+  EXPECT_THROW(h.percentile(1.5), PreconditionError);
 }
 
 TEST(Counters, BumpAndGet) {

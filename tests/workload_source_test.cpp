@@ -1,6 +1,6 @@
-/// The TraceSource seam: every producer behind one interface, the deprecated
-/// walk_graph shim, and the experiment engine running the phased generator
-/// as a sweep axis with byte-identical results at any worker count.
+/// The TraceSource seam: every producer behind one interface, and the
+/// experiment engine running the phased generator as a sweep axis with
+/// byte-identical results at any worker count.
 
 #include <gtest/gtest.h>
 
@@ -8,11 +8,9 @@
 #include <fstream>
 #include <sstream>
 
-#include "rispp/aes/graph.hpp"
 #include "rispp/exp/platform.hpp"
 #include "rispp/exp/standard_eval.hpp"
 #include "rispp/exp/sweep.hpp"
-#include "rispp/forecast/forecast_pass.hpp"
 #include "rispp/sim/simulator.hpp"
 #include "rispp/sim/trace_io.hpp"
 #include "rispp/util/error.hpp"
@@ -27,8 +25,6 @@ using rispp::util::PreconditionError;
 using rispp::workload::PhasedStats;
 using rispp::workload::PhasedWorkload;
 using rispp::workload::TraceSource;
-using rispp::workload::WalkParams;
-using rispp::workload::WalkStats;
 
 std::string serialize(const std::vector<TaskDef>& tasks,
                       const SiLibrary& lib) {
@@ -85,57 +81,6 @@ TEST(TraceSource, MissingTraceFileThrows) {
       PreconditionError);
 }
 
-TEST(TraceSource, DeprecatedWalkGraphShimMatchesTheSeam) {
-  // The shim must forward *unchanged*: same trace bytes AND same WalkStats,
-  // over several walk seeds and with forecasts ablated. Anything less and
-  // "deprecated but source-compatible" would be a lie.
-  const auto lib = rispp::aes::si_library();
-  const auto graph = rispp::aes::build_graph(300);
-  rispp::forecast::ForecastConfig fc;
-  fc.atom_containers = 6;
-  fc.alpha = 0.05;  // keep the plan non-empty so forecasts actually fire
-  const auto plan = rispp::forecast::run_forecast_pass(graph, lib, fc);
-  ASSERT_GT(plan.total_points(), 0u);
-
-  for (const std::uint64_t seed : {9ull, 23ull, 77ull}) {
-    for (const bool emit_forecasts : {true, false}) {
-      SCOPED_TRACE("seed=" + std::to_string(seed) +
-                   " emit_forecasts=" + (emit_forecasts ? "true" : "false"));
-      WalkParams p;
-      p.seed = seed;
-      p.emit_forecasts = emit_forecasts;
-
-      WalkStats seam_stats;
-      const auto seam =
-          TraceSource::make_graph_walk(graph, plan, borrow(lib), p,
-                                       &seam_stats)
-              ->tasks();
-      ASSERT_EQ(seam.size(), 1u);
-
-      WalkStats legacy_stats;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-      const auto legacy =
-          rispp::workload::walk_graph(graph, plan, lib, p, &legacy_stats);
-#pragma GCC diagnostic pop
-
-      EXPECT_EQ(serialize({{"walk", legacy}}, lib), serialize(seam, lib));
-      EXPECT_EQ(legacy_stats.steps, seam_stats.steps);
-      EXPECT_EQ(legacy_stats.si_invocations, seam_stats.si_invocations);
-      EXPECT_EQ(legacy_stats.forecasts, seam_stats.forecasts);
-      EXPECT_EQ(legacy_stats.reached_sink, seam_stats.reached_sink);
-      EXPECT_EQ(legacy_stats.truncated, seam_stats.truncated);
-      if (!emit_forecasts) {
-        EXPECT_EQ(seam_stats.forecasts, 0u);
-        for (const auto& op : seam[0].trace)
-          EXPECT_NE(op.kind, rispp::sim::TraceOp::Kind::Forecast);
-      } else {
-        EXPECT_GT(seam_stats.forecasts, 0u);
-      }
-    }
-  }
-}
-
 TEST(TraceSource, PhasedSourceMatchesGenerateAndRefreshesStats) {
   const auto lib = SiLibrary::h264();
   const std::string config =
@@ -163,7 +108,6 @@ TEST(TraceSource, AddToFeedsTheSimulatorLikeManualAddTask) {
   const auto run = [&](bool through_seam) {
     rispp::sim::SimConfig cfg;
     cfg.rt.atom_containers = 4;
-    cfg.rt.record_events = false;
     rispp::sim::Simulator sim(borrow(lib), cfg);
     const auto source = TraceSource::make_phased(
         PhasedWorkload::from_string(config, borrow(lib)));

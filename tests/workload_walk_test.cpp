@@ -121,7 +121,6 @@ TEST(GraphWalk, EndToEndForecastingBeatsSilence) {
     p.emit_forecasts = forecasts;
     rispp::sim::SimConfig cfg;
     cfg.rt.atom_containers = 6;
-    cfg.rt.record_events = false;
     rispp::sim::Simulator sim(borrow(s.lib), cfg);
     TraceSource::make_graph_walk(s.graph, s.plan, borrow(s.lib), p)
         ->add_to(sim);
