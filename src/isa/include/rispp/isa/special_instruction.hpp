@@ -35,6 +35,9 @@ struct ParetoPoint {
 
 class SpecialInstruction {
  public:
+  /// Throws util::PreconditionError unless the name is non-empty, the
+  /// software latency is positive, and there is at least one hardware
+  /// Molecule, each using atoms and strictly faster than software.
   SpecialInstruction(std::string name, std::uint32_t software_cycles,
                      std::vector<MoleculeOption> options);
 

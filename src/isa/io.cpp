@@ -136,7 +136,11 @@ SpecialInstruction parse_si(const std::vector<Line>& lines, std::size_t& i,
       ++i;
       if (options.empty())
         throw ParseError(line.number, "si '" + name + "' has no molecules");
-      return SpecialInstruction(name, *software, std::move(options));
+      try {
+        return SpecialInstruction(name, *software, std::move(options));
+      } catch (const util::PreconditionError& e) {
+        throw ParseError(header.number, "si '" + name + "': " + e.what());
+      }
     }
     if (line.head() != "molecule")
       throw ParseError(line.number, "expected 'molecule' or 'end' in si");

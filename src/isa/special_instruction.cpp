@@ -18,6 +18,8 @@ SpecialInstruction::SpecialInstruction(std::string name,
   RISPP_REQUIRE(!options_.empty(), "SI needs at least one hardware molecule");
   for (const auto& o : options_) {
     RISPP_REQUIRE(o.cycles > 0, "molecule latency must be > 0");
+    RISPP_REQUIRE(o.cycles < software_cycles_,
+                  "hardware molecule must be faster than software");
     RISPP_REQUIRE(!o.atoms.is_zero(), "hardware molecule must use atoms");
   }
 }

@@ -167,33 +167,30 @@ std::optional<Cycle> ContainerFile::next_unblock_after(Cycle t) const {
   return next;
 }
 
-std::vector<VictimCandidate> ContainerFile::victim_candidates(
-    const atom::Molecule& target, Cycle now) const {
+std::optional<unsigned> ContainerFile::choose_victim(
+    const atom::Molecule& target, Cycle now, ReplacementPolicy& policy) const {
+  for (const auto& c : containers_)
+    if (!c.atom && !c.loading && !c.blocked(now)) return c.id;
   // A container is expendable when its kind's committed count exceeds the
-  // target's demand for that kind (needed atoms are never evicted).
-  std::vector<VictimCandidate> out;
-  atom::Molecule excess = committed_.saturating_sub(target);
+  // target's demand for that kind (needed atoms are never evicted). The
+  // policy sees the expendable ones in container-id order.
+  std::vector<VictimCandidate> candidates;
+  const atom::Molecule excess = committed_.saturating_sub(target);
   for (const auto& c : containers_) {
     if (c.busy(now)) continue;  // cannot preempt an in-flight transfer
     if (c.blocked(now)) continue;  // fault backoff / quarantine
     const auto kind = c.loading ? c.loading : c.atom;
     if (!kind) continue;
     if (excess[*kind] == 0) continue;
-    out.push_back(VictimCandidate{
+    candidates.push_back(VictimCandidate{
         .container = c.id,
         .atom_kind = *kind,
         .last_used = c.last_used,
         .owner_task = c.owner_task,
     });
   }
-  return out;
-}
-
-std::optional<unsigned> ContainerFile::choose_victim(
-    const atom::Molecule& target, Cycle now, ReplacementPolicy& policy) const {
-  return choose_victim_with(
-      target, now,
-      [&](const std::vector<VictimCandidate>& c) { return policy.pick(c); });
+  if (candidates.empty()) return std::nullopt;
+  return policy.pick(candidates);
 }
 
 }  // namespace rispp::rt

@@ -9,6 +9,10 @@
 /// for replacement policy only — any task may execute SIs on any loaded
 /// Atom (Fig 6, T3: Task B's SI runs on containers that 'belong' to Task A).
 ///
+/// ContainerFile::choose_victim is the one victim decision (paper §5c): it
+/// takes an empty container when it can and otherwise hands the expendable
+/// ones to a ReplacementPolicy (policy.hpp).
+///
 /// With fault injection (hw/fault.hpp) a transfer can end Failed/Poisoned:
 /// the container then ends up empty, enters a backoff window
 /// (`blocked_until`) during which no new rotation targets it, and after too
@@ -28,7 +32,6 @@ using Cycle = std::uint64_t;
 constexpr int kNoTask = -1;
 
 class ReplacementPolicy;  // policy.hpp
-struct VictimCandidate;   // policy.hpp
 
 struct AtomContainer {
   unsigned id = 0;
@@ -140,25 +143,7 @@ class ContainerFile {
                                         Cycle now,
                                         ReplacementPolicy& policy) const;
 
-  /// Same contract again, picking through an arbitrary callable over the
-  /// candidate list. The reallocation kernel passes its devirtualized
-  /// ReplacementDispatch through here, so the whole victim decision runs
-  /// without a virtual call for the built-in policies.
-  template <typename Pick>
-  std::optional<unsigned> choose_victim_with(const atom::Molecule& target,
-                                             Cycle now, Pick&& pick) const {
-    for (const auto& c : containers_)
-      if (!c.atom && !c.loading && !c.blocked(now)) return c.id;
-    const auto candidates = victim_candidates(target, now);
-    if (candidates.empty()) return std::nullopt;
-    return pick(candidates);
-  }
-
  private:
-  /// Expendable containers for `target` at `now`, in container-id order.
-  std::vector<VictimCandidate> victim_candidates(const atom::Molecule& target,
-                                                 Cycle now) const;
-
   std::vector<AtomContainer> containers_;
   const isa::AtomCatalog* catalog_;
   atom::Molecule committed_;  ///< incremental committed_atoms() view

@@ -9,17 +9,21 @@
 ///  (b) selecting/composing Molecules for a subset of the forecasted SIs,
 ///  (c) scheduling rotations and replacing Atoms.
 ///
+/// The two decisions inside (b) and (c) — which Molecules to converge to and
+/// which Atom Container to sacrifice — each go through one policy interface
+/// (SelectionPolicy / ReplacementPolicy, policy.hpp), built by key from
+/// RtConfig.
+///
 /// Executions never block on hardware: an SI whose Molecule is not (yet)
 /// loaded runs its software Molecule, and upgrades to progressively faster
 /// hardware Molecules as rotations complete (Fig 6, T1–T5).
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
-
-#include <memory>
 
 #include "rispp/forecast/forecast_pass.hpp"
 #include "rispp/hw/fault.hpp"
@@ -27,7 +31,6 @@
 #include "rispp/isa/si_library.hpp"
 #include "rispp/obs/event.hpp"
 #include "rispp/rt/container.hpp"
-#include "rispp/rt/dispatch.hpp"
 #include "rispp/rt/energy.hpp"
 #include "rispp/rt/policy.hpp"
 #include "rispp/rt/rotation.hpp"
@@ -57,11 +60,11 @@ struct RtConfig {
   double learning_rate = 0.5;
   /// Power model for the energy meter (execution / rotation / leakage).
   PowerModel power{};
-  /// Molecule selection policy, by factory key ("greedy", "exhaustive", or
-  /// a custom registration — see policy.hpp).
+  /// Molecule selection policy, by factory key ("greedy", "exhaustive" —
+  /// see policy.hpp).
   std::string selection_policy = "greedy";
   /// Rotation-victim replacement policy, by factory key ("lru", "mru",
-  /// "round-robin", or a custom registration).
+  /// "round-robin").
   std::string replacement_policy = "lru";
   /// Cancel queued (not yet started) transfers that a reallocation made
   /// stale — the port slot is wasted but the container frees immediately
@@ -85,7 +88,7 @@ struct RtConfig {
 
 /// Validates an RtConfig before anything is built from it: unknown
 /// selection/replacement factory keys throw util::Error (PreconditionError)
-/// listing the registered keys, and the numeric knobs are range-checked.
+/// listing the valid keys, and the numeric knobs are range-checked.
 /// RisppManager runs this at construction; batch drivers (exp::Runner) run
 /// it once per sweep point *before* spawning workers, so a typo in a grid
 /// axis fails the whole sweep up front instead of deep inside reallocate().
@@ -175,12 +178,8 @@ class RisppManager {
   }
   const ContainerFile& containers() const { return containers_; }
   /// The policy objects driving selection/replacement (for introspection).
-  const SelectionPolicy& selection_policy() const {
-    return selector_.policy();
-  }
-  const ReplacementPolicy& replacement_policy() const {
-    return replacer_.policy();
-  }
+  const SelectionPolicy& selection_policy() const { return *selector_; }
+  const ReplacementPolicy& replacement_policy() const { return *replacer_; }
   const util::Counters& counters() const { return counters_; }
   std::uint64_t rotations_performed() const {
     return rotations_.rotations_performed();
@@ -230,11 +229,11 @@ class RisppManager {
   RtConfig cfg_;
   ContainerFile containers_;
   RotationScheduler rotations_;
-  /// Devirtualized policy dispatch (rt/dispatch.hpp): built-in policies run
-  /// by value with direct calls; custom registrations fall back to the
-  /// factory's virtual product.
-  SelectionDispatch selector_;
-  ReplacementDispatch replacer_;
+  /// The two policies, built by key from RtConfig and called through their
+  /// interfaces (policy.hpp): selector_ plans on every stale reallocation,
+  /// replacer_ picks one victim per booked rotation.
+  std::unique_ptr<SelectionPolicy> selector_;
+  std::unique_ptr<ReplacementPolicy> replacer_;
   EnergyMeter energy_;
   /// Emission buffer between the manager's hot paths and cfg_.sink: emit is
   /// a plain append, the sink sees whole runs via on_batch at reallocation

@@ -5,9 +5,8 @@
 /// The run-time system is a pipeline of separable decisions: *which*
 /// configuration to converge to (Molecule selection) and *which* container
 /// to sacrifice for the next rotation (Atom replacement). This header makes
-/// both decisions explicit strategy interfaces so that benches, tools and
-/// DSE sweeps can inject alternatives without touching the reallocation
-/// kernel:
+/// both decisions explicit strategy interfaces, and the reallocation kernel
+/// calls them only through these interfaces:
 ///
 ///  * SelectionPolicy   — plans a target configuration plus the greedy step
 ///    order that makes SIs come online gradually ("Rotation in Advance").
@@ -17,14 +16,12 @@
 ///    needed Atoms are never evicted, empty containers are always taken
 ///    first). Implementations: LRU, MRU, round-robin (this header).
 ///
-/// Policies are constructed through a string-keyed factory
-/// (make_selection_policy / make_replacement_policy), which is what the
-/// `--selector=` / `--victim=` CLI switches of the ablation benches and
-/// tools/rispp_explorer resolve against. New policies register with
-/// register_selection_policy / register_replacement_policy (see DESIGN.md
-/// "Run-time policy seams").
+/// Policies are constructed by key (make_selection_policy /
+/// make_replacement_policy) from one fixed table per policy kind in
+/// policy.cpp; the `--selector=` / `--victim=` CLI switches of the ablation
+/// benches and tools/rispp_explorer resolve against the same table. Adding
+/// a policy means one class plus one table entry (DESIGN.md §7).
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -82,7 +79,7 @@ class SelectionPolicy {
   double benefit(const atom::Molecule& config,
                  const std::vector<ForecastDemand>& demands) const;
 
-  /// Factory key this policy was registered under (e.g. "greedy").
+  /// Factory key of this policy (e.g. "greedy").
   virtual std::string_view name() const = 0;
 
  protected:
@@ -139,49 +136,23 @@ class RoundRobinReplacement final : public ReplacementPolicy {
   unsigned cursor_ = 0;  ///< next container id to prefer
 };
 
-/// --- string-keyed factory ------------------------------------------------
-/// Built-in keys: selection "greedy", "exhaustive"; replacement "lru",
-/// "mru", "round-robin". Unknown keys throw util::PreconditionError listing
-/// the registered names.
-
-using SelectionPolicyFactory =
-    std::function<std::unique_ptr<SelectionPolicy>(const isa::SiLibrary&)>;
-using ReplacementPolicyFactory =
-    std::function<std::unique_ptr<ReplacementPolicy>()>;
-
-void register_selection_policy(const std::string& name,
-                               SelectionPolicyFactory factory);
-void register_replacement_policy(const std::string& name,
-                                 ReplacementPolicyFactory factory);
+/// --- key-based factory --------------------------------------------------
+/// Keys: selection "exhaustive", "greedy"; replacement "lru", "mru",
+/// "round-robin". Unknown keys throw util::PreconditionError listing the
+/// valid keys.
 
 std::unique_ptr<SelectionPolicy> make_selection_policy(
     const std::string& name, const isa::SiLibrary& lib);
 std::unique_ptr<ReplacementPolicy> make_replacement_policy(
     const std::string& name);
 
-/// Registered keys, sorted — the benches print these for --selector/--victim.
+/// Valid keys, sorted — the benches print these for --selector/--victim.
 std::vector<std::string> selection_policy_names();
 std::vector<std::string> replacement_policy_names();
 
-/// True when a factory is registered under `name` — config validation uses
-/// these to reject unknown keys before any thread or simulation starts.
+/// True when `name` is a valid key — config validation uses these to reject
+/// unknown keys before any thread or simulation starts.
 bool selection_policy_registered(const std::string& name);
 bool replacement_policy_registered(const std::string& name);
-
-/// --- devirtualization support (rt/dispatch.hpp) --------------------------
-/// The reallocation kernel dispatches the built-in policies through a
-/// std::variant of concrete types instead of the virtual interface, so the
-/// hot path makes no virtual calls. These queries report whether a factory
-/// key still resolves to the *unmodified* built-in implementation: a
-/// register_*_policy() call — even one re-registering a built-in name —
-/// demotes the key to Custom, and the kernel falls back to the virtual
-/// object the factory produces. The string-keyed factory therefore stays
-/// the single public extension point.
-
-enum class SelectionKind { Greedy, Exhaustive, Custom };
-enum class ReplacementKind { Lru, Mru, RoundRobin, Custom };
-
-SelectionKind selection_policy_kind(const std::string& name);
-ReplacementKind replacement_policy_kind(const std::string& name);
 
 }  // namespace rispp::rt

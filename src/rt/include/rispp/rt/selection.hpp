@@ -4,8 +4,8 @@
 /// forecasted SIs and the Atom Container budget, decide which Atoms the
 /// platform should converge to.
 ///
-/// Both selectors implement rt::SelectionPolicy (policy.hpp) and are
-/// registered in the policy factory ("greedy" / "exhaustive"), so the
+/// Both selectors implement rt::SelectionPolicy (policy.hpp) and sit in the
+/// policy factory's key table ("greedy" / "exhaustive"), so the
 /// reallocation kernel, the ablation benches and tools/rispp_explorer can
 /// swap them by name.
 ///
@@ -38,21 +38,14 @@ class GreedySelector : public SelectionPolicy {
   SelectionPlan plan(const std::vector<ForecastDemand>& demands,
                      std::uint64_t containers) const override;
 
-  /// Exhaustive reference for small instances (tests/ablation): enumerates
-  /// all combinations of per-SI Molecule options (including software) and
-  /// returns the feasible configuration with maximal total benefit. The
-  /// returned plan carries no steps — use ExhaustiveSelector when the plan
-  /// must drive rotations.
-  SelectionPlan exhaustive(const std::vector<ForecastDemand>& demands,
-                           std::uint64_t containers) const;
-
   std::string_view name() const override { return "greedy"; }
 };
 
-/// GreedySelector's exhaustive() search promoted to a first-class policy:
-/// the target is the benefit-optimal configuration over all per-SI Molecule
-/// choices, and the step sequence orders the upgrades *within* that target
-/// greedily so rotations still come online most-valuable-first.
+/// Exhaustive reference for small instances (tests, ablation, and a policy
+/// in its own right): the target is the benefit-optimal configuration over
+/// all combinations of per-SI Molecule options (including software), and
+/// the step sequence orders the upgrades *within* that target greedily so
+/// rotations still come online most-valuable-first.
 class ExhaustiveSelector : public SelectionPolicy {
  public:
   explicit ExhaustiveSelector(const isa::SiLibrary& lib)

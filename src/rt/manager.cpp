@@ -52,8 +52,8 @@ RisppManager::RisppManager(std::shared_ptr<const isa::SiLibrary> lib,
       containers_(cfg_.atom_containers, lib_->catalog()),
       rotations_(hw::FaultyReconfigPort(cfg_.port, cfg_.faults),
                  cfg_.clock_mhz),
-      selector_(cfg_.selection_policy, *lib_),
-      replacer_(cfg_.replacement_policy),
+      selector_(make_selection_policy(cfg_.selection_policy, *lib_)),
+      replacer_(make_replacement_policy(cfg_.replacement_policy)),
       energy_(cfg_.power, cfg_.clock_mhz),
       batch_(cfg_.sink) {
   // Precompute the execute() fast-path tables: every Molecule option's
@@ -190,7 +190,7 @@ void RisppManager::reallocate(Cycle now) {
     const auto demands = active_demands();
     // Plan against the in-service AC budget: quarantined containers are
     // gone for good, so the selector must not count on their slots.
-    plan_ = selector_.plan(demands, containers_.usable_count());
+    plan_ = selector_->plan(demands, containers_.usable_count());
     plan_generation_ = demand_generation_;
     plan_time_ = now;
     counters_.bump("selector_plans");
@@ -213,8 +213,8 @@ bool RisppManager::gate_passes(
   // over the *current* configuration does not pay for the transfers.
   if (cfg_.rotation_cost_factor <= 0.0) return true;
   const auto& current = containers_.committed_atoms();
-  const double gain = selector_.benefit(plan_.target, demands) -
-                      selector_.benefit(current, demands);
+  const double gain = selector_->benefit(plan_.target, demands) -
+                      selector_->benefit(current, demands);
   const auto needed =
       lib_->catalog().project_rotatable(current).residual_to(plan_.target);
   double cost_cycles = 0;
@@ -264,10 +264,8 @@ void RisppManager::issue(Cycle now) {
     cum = cum.plus(step.additional);
     for (std::size_t kind = 0; kind < cum.dimension(); ++kind) {
       while (containers_.committed_atoms()[kind] < cum[kind]) {
-        const auto victim = containers_.choose_victim_with(
-            plan_.target, now, [&](const std::vector<VictimCandidate>& c) {
-              return replacer_.pick(c);
-            });
+        const auto victim =
+            containers_.choose_victim(plan_.target, now, *replacer_);
         if (!victim) return;  // all remaining containers busy or needed;
                               // the next wakeup or forecast event retries
         const auto& vc = containers_.at(*victim);

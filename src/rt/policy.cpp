@@ -1,6 +1,7 @@
 #include "rispp/rt/policy.hpp"
 
-#include <map>
+#include <algorithm>
+#include <iterator>
 
 #include "rispp/rt/selection.hpp"
 #include "rispp/util/error.hpp"
@@ -51,125 +52,95 @@ unsigned RoundRobinReplacement::pick(
 
 namespace {
 
-// Keys whose factory was replaced (or added) through register_*_policy.
-// The built-in entries installed below never pass through the registration
-// functions, so membership here is exactly "no longer the stock builtin" —
-// which is what the devirtualized dispatch must check before bypassing the
-// factory's virtual product.
-std::map<std::string, bool>& selection_overrides() {
-  static std::map<std::string, bool> overridden;
-  return overridden;
+/// One built-in policy: its factory key and how to construct it. Each
+/// policy kind has one table, kept sorted by key; it backs the factory, the
+/// key list and the key check alike.
+template <typename Policy, typename... Args>
+struct Entry {
+  std::string_view key;
+  std::unique_ptr<Policy> (*make)(Args...);
+};
+
+template <typename Policy, typename Impl, typename... Args>
+std::unique_ptr<Policy> construct(Args... args) {
+  return std::make_unique<Impl>(args...);
 }
 
-std::map<std::string, bool>& replacement_overrides() {
-  static std::map<std::string, bool> overridden;
-  return overridden;
+constexpr Entry<SelectionPolicy, const isa::SiLibrary&> kSelectionPolicies[] = {
+    {"exhaustive",
+     construct<SelectionPolicy, ExhaustiveSelector, const isa::SiLibrary&>},
+    {"greedy",
+     construct<SelectionPolicy, GreedySelector, const isa::SiLibrary&>},
+};
+
+constexpr Entry<ReplacementPolicy> kReplacementPolicies[] = {
+    {"lru", construct<ReplacementPolicy, LruReplacement>},
+    {"mru", construct<ReplacementPolicy, MruReplacement>},
+    {"round-robin", construct<ReplacementPolicy, RoundRobinReplacement>},
+};
+
+constexpr auto by_key = [](const auto& a, const auto& b) {
+  return a.key < b.key;
+};
+static_assert(std::is_sorted(std::begin(kSelectionPolicies),
+                             std::end(kSelectionPolicies), by_key));
+static_assert(std::is_sorted(std::begin(kReplacementPolicies),
+                             std::end(kReplacementPolicies), by_key));
+
+template <typename Table>
+std::vector<std::string> keys(const Table& table) {
+  std::vector<std::string> out;
+  for (const auto& e : table) out.emplace_back(e.key);
+  return out;
 }
 
-std::map<std::string, SelectionPolicyFactory>& selection_registry() {
-  static std::map<std::string, SelectionPolicyFactory> registry = {
-      {"greedy",
-       [](const isa::SiLibrary& lib) {
-         return std::make_unique<GreedySelector>(lib);
-       }},
-      {"exhaustive",
-       [](const isa::SiLibrary& lib) {
-         return std::make_unique<ExhaustiveSelector>(lib);
-       }},
-  };
-  return registry;
-}
-
-std::map<std::string, ReplacementPolicyFactory>& replacement_registry() {
-  static std::map<std::string, ReplacementPolicyFactory> registry = {
-      {"lru", [] { return std::make_unique<LruReplacement>(); }},
-      {"mru", [] { return std::make_unique<MruReplacement>(); }},
-      {"round-robin", [] { return std::make_unique<RoundRobinReplacement>(); }},
-  };
-  return registry;
-}
-
-template <typename Registry>
-std::string known_names(const Registry& registry) {
-  std::string names;
-  for (const auto& [name, factory] : registry) {
-    if (!names.empty()) names += ", ";
-    names += name;
+/// The entry for `name`; throws PreconditionError listing the valid keys.
+template <typename Table>
+const auto& lookup(const Table& table, const char* kind,
+                   const std::string& name) {
+  for (const auto& e : table)
+    if (e.key == name) return e;
+  std::string known;
+  for (const auto& e : table) {
+    if (!known.empty()) known += ", ";
+    known += e.key;
   }
-  return names;
+  throw util::PreconditionError("unknown " + std::string(kind) + " policy '" +
+                                name + "' (registered: " + known + ")");
+}
+
+template <typename Table>
+bool contains(const Table& table, const std::string& name) {
+  return std::any_of(std::begin(table), std::end(table),
+                     [&](const auto& e) { return e.key == name; });
 }
 
 }  // namespace
 
-void register_selection_policy(const std::string& name,
-                               SelectionPolicyFactory factory) {
-  RISPP_REQUIRE(static_cast<bool>(factory), "null selection policy factory");
-  selection_registry()[name] = std::move(factory);
-  selection_overrides()[name] = true;
-}
-
-void register_replacement_policy(const std::string& name,
-                                 ReplacementPolicyFactory factory) {
-  RISPP_REQUIRE(static_cast<bool>(factory), "null replacement policy factory");
-  replacement_registry()[name] = std::move(factory);
-  replacement_overrides()[name] = true;
-}
-
 std::unique_ptr<SelectionPolicy> make_selection_policy(
     const std::string& name, const isa::SiLibrary& lib) {
-  const auto& registry = selection_registry();
-  const auto it = registry.find(name);
-  RISPP_REQUIRE(it != registry.end(),
-                "unknown selection policy '" + name +
-                    "' (registered: " + known_names(registry) + ")");
-  return it->second(lib);
+  return lookup(kSelectionPolicies, "selection", name).make(lib);
 }
 
 std::unique_ptr<ReplacementPolicy> make_replacement_policy(
     const std::string& name) {
-  const auto& registry = replacement_registry();
-  const auto it = registry.find(name);
-  RISPP_REQUIRE(it != registry.end(),
-                "unknown replacement policy '" + name +
-                    "' (registered: " + known_names(registry) + ")");
-  return it->second();
+  return lookup(kReplacementPolicies, "replacement", name).make();
 }
 
 std::vector<std::string> selection_policy_names() {
-  std::vector<std::string> names;
-  for (const auto& [name, factory] : selection_registry())
-    names.push_back(name);
-  return names;
+  return keys(kSelectionPolicies);
 }
 
 std::vector<std::string> replacement_policy_names() {
-  std::vector<std::string> names;
-  for (const auto& [name, factory] : replacement_registry())
-    names.push_back(name);
-  return names;
+  return keys(kReplacementPolicies);
 }
 
 bool selection_policy_registered(const std::string& name) {
-  return selection_registry().count(name) != 0;
+  return contains(kSelectionPolicies, name);
 }
 
 bool replacement_policy_registered(const std::string& name) {
-  return replacement_registry().count(name) != 0;
-}
-
-SelectionKind selection_policy_kind(const std::string& name) {
-  if (selection_overrides().count(name) != 0) return SelectionKind::Custom;
-  if (name == "greedy") return SelectionKind::Greedy;
-  if (name == "exhaustive") return SelectionKind::Exhaustive;
-  return SelectionKind::Custom;
-}
-
-ReplacementKind replacement_policy_kind(const std::string& name) {
-  if (replacement_overrides().count(name) != 0) return ReplacementKind::Custom;
-  if (name == "lru") return ReplacementKind::Lru;
-  if (name == "mru") return ReplacementKind::Mru;
-  if (name == "round-robin") return ReplacementKind::RoundRobin;
-  return ReplacementKind::Custom;
+  return contains(kReplacementPolicies, name);
 }
 
 }  // namespace rispp::rt

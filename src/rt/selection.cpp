@@ -96,14 +96,6 @@ SelectionPlan GreedySelector::plan(const std::vector<ForecastDemand>& demands,
   return greedy_plan(library(), demands, containers, nullptr);
 }
 
-SelectionPlan GreedySelector::exhaustive(
-    const std::vector<ForecastDemand>& demands,
-    std::uint64_t containers) const {
-  SelectionPlan out;
-  out.target = exhaustive_target(*this, library(), demands, containers);
-  return out;
-}
-
 SelectionPlan ExhaustiveSelector::plan(
     const std::vector<ForecastDemand>& demands,
     std::uint64_t containers) const {

@@ -90,6 +90,18 @@ TEST(ParserCorpus, SiLibraryDiagnosticsCarryLineNumbers) {
     EXPECT_EQ(e.line(), 5u);
     EXPECT_NE(std::string(e.what()).find("unknown atom"), std::string::npos);
   }
+  // SpecialInstruction's own rules (here: a hardware Molecule no faster
+  // than software) report the si header's line, not a source location.
+  try {
+    (void)rispp::isa::parse_si_library(
+        "catalog\n  atom A slices=1 luts=2 bitstream=100\nend\n"
+        "si SLOW software=100\n  molecule cycles=150 A=1\nend\n");
+    FAIL() << "molecule slower than software accepted";
+  } catch (const rispp::isa::ParseError& e) {
+    EXPECT_EQ(e.line(), 4u);
+    EXPECT_NE(std::string(e.what()).find("faster than software"),
+              std::string::npos);
+  }
 }
 
 TEST(ParserCorpus, TraceDiagnosticsCarryLineNumbers) {

@@ -111,6 +111,7 @@ void check_plan_invariants(const SiLibrary& lib,
 void check_greedy_within_half(const SiLibrary& lib,
                               rispp::util::Xoshiro256& rng) {
   const GreedySelector sel(lib);
+  const ExhaustiveSelector exhaustive(lib);
   std::vector<ForecastDemand> demands;
   for (std::size_t s = 0; s < lib.size(); ++s)
     demands.push_back(
@@ -118,7 +119,7 @@ void check_greedy_within_half(const SiLibrary& lib,
 
   for (std::uint64_t budget : {2ull, 4ull, 6ull}) {
     const auto greedy = sel.plan(demands, budget);
-    const auto best = sel.exhaustive(demands, budget);
+    const auto best = exhaustive.plan(demands, budget);
     const double g = sel.benefit(greedy.target, demands);
     const double b = sel.benefit(best.target, demands);
     EXPECT_GE(g, 0.5 * b) << "budget " << budget;

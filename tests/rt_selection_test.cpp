@@ -105,10 +105,11 @@ TEST_F(Selection, GreedyNearOptimalVsExhaustive) {
       {demand("SATD_4x4", 256), demand("DCT_4x4", 24), demand("HT_4x4", 1),
        demand("HT_2x2", 2)},
   };
+  const ExhaustiveSelector exhaustive(lib_);
   for (const auto& demands : cases) {
     for (std::uint64_t budget : {4ull, 6ull, 8ull}) {
       const auto greedy = sel_.plan(demands, budget);
-      const auto best = sel_.exhaustive(demands, budget);
+      const auto best = exhaustive.plan(demands, budget);
       const double g = sel_.benefit(greedy.target, demands);
       const double b = sel_.benefit(best.target, demands);
       EXPECT_GE(g, 0.99 * b) << "budget " << budget;
