@@ -35,6 +35,7 @@
 #include "rispp/isa/si_library.hpp"
 #include "rispp/obs/event.hpp"
 #include "rispp/sim/simulator.hpp"
+#include "rispp/util/stats.hpp"
 #include "rispp/util/table.hpp"
 #include "rispp/workload/trace_source.hpp"
 

@@ -97,6 +97,15 @@ class Molecule {
 
 std::ostream& operator<<(std::ostream& os, const Molecule& m);
 
+/// m ≤ o over raw count arrays of one dimension: Molecule::leq for the
+/// run-time kernel's flat rows (isa::SiLibrary::projection), which it
+/// compares without building Molecules. Unchecked: o.size() >= m.size().
+inline bool leq(std::span<const Count> m, std::span<const Count> o) {
+  for (std::size_t i = 0; i < m.size(); ++i)
+    if (m[i] > o[i]) return false;
+  return true;
+}
+
 /// Supremum of a non-empty range of Molecules: the least Meta-Molecule that
 /// dominates all of them (⋃). sup ∅ of dimension d is the zero Molecule.
 Molecule supremum(std::span<const Molecule> ms, std::size_t dimension);

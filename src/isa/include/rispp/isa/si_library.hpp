@@ -3,7 +3,9 @@
 /// \brief A compiled application's Special Instruction set: the catalog of
 /// Atom types plus every SI with its Molecule options.
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,10 +47,33 @@ class SiLibrary {
   const SpecialInstruction& at(std::size_t i) const;
   std::size_t size() const { return sis_.size(); }
 
+  /// Rotatable counts of option `option` of SI `si` — its Molecule with the
+  /// static-Atom components zeroed, i.e. what it needs from the Atom
+  /// Containers. Read from a flat table built once by the constructor, so
+  /// the run-time kernel's selection, benefit, fastest-option and LRU-touch
+  /// paths compare count arrays instead of projecting Molecules per call.
+  /// Unchecked: `si` < size() and `option` < at(si).options().size().
+  std::span<const atom::Count> projection(std::size_t si,
+                                          std::size_t option) const {
+    const auto dim = catalog_.size();
+    return {projections_.data() + (first_option_[si] + option) * dim, dim};
+  }
+
+  /// Cycles SI `si` takes when the rotatable Atoms `loaded` (catalog
+  /// dimension) are available: the fastest option whose projection fits,
+  /// otherwise software. Equals at(si).cycles_with(loaded, catalog()).
+  std::uint32_t cycles_on(std::size_t si,
+                          std::span<const atom::Count> loaded) const;
+
  private:
   AtomCatalog catalog_;
   std::vector<SpecialInstruction> sis_;
+  /// projection() rows, one per option in SI-then-option order, each of
+  /// catalog dimension; first_option_[si] is the row of SI si's option 0.
+  std::vector<atom::Count> projections_;
+  std::vector<std::size_t> first_option_;
 };
+
 
 /// Moves a library value into the immutable shared snapshot form that the
 /// thread-safe APIs (Simulator, RisppManager, exp::Platform) take: nobody

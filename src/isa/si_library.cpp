@@ -17,6 +17,39 @@ SiLibrary::SiLibrary(AtomCatalog catalog, std::vector<SpecialInstruction> sis)
     for (std::size_t j = i + 1; j < sis_.size(); ++j)
       RISPP_REQUIRE(sis_[i].name() != sis_[j].name(),
                     "duplicate SI name: " + sis_[i].name());
+
+  // The projection table, with plain indexing: checked accessors per
+  // element made this loop the slowest part of building h264_frame().
+  const auto dim = catalog_.size();
+  const auto& atoms = catalog_.atoms();
+  std::size_t rows = 0;
+  first_option_.reserve(sis_.size());
+  for (const auto& si : sis_) {
+    first_option_.push_back(rows);
+    rows += si.options().size();
+  }
+  projections_.assign(rows * dim, 0);
+  auto* row = projections_.data();
+  for (const auto& si : sis_)
+    for (const auto& o : si.options()) {
+      const auto counts = o.atoms.counts();
+      for (std::size_t i = 0; i < dim; ++i)
+        if (atoms[i].rotatable) row[i] = counts[i];
+      row += dim;
+    }
+}
+
+std::uint32_t SiLibrary::cycles_on(std::size_t si,
+                                   std::span<const atom::Count> loaded) const {
+  // Every hardware option is strictly faster than software (enforced by
+  // SpecialInstruction), so the minimum over software and the fitting
+  // options is fastest_supported()'s answer.
+  const auto& options = sis_[si].options();
+  auto cycles = sis_[si].software_cycles();
+  for (std::size_t o = 0; o < options.size(); ++o)
+    if (options[o].cycles < cycles && atom::leq(projection(si, o), loaded))
+      cycles = options[o].cycles;
+  return cycles;
 }
 
 namespace {

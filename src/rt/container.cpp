@@ -125,23 +125,28 @@ bool ContainerFile::on_rotation_failed(unsigned c, std::size_t atom_kind,
   return false;
 }
 
-void ContainerFile::touch(const atom::Molecule& used, Cycle now) {
+void ContainerFile::touch(std::span<const atom::Count> used, Cycle now) {
   // Mark one container per required atom instance as used, visiting
   // containers least-recently-used first (ties towards the lowest id) so
   // repeated touches of a partially-used kind cycle through its instances
   // and keep the timestamps coherent instead of re-marking the same ids.
   // Runs once per SI execution: the order/remaining scratch is reused
-  // across calls so the hot path makes no allocations.
+  // across calls, and the order comes from a stable insertion sort over
+  // the few loaded containers (std::stable_sort allocates a buffer per
+  // call), so the hot path makes no allocations.
   auto& order = touch_order_;
   order.clear();
-  for (const auto& c : containers_)
-    if (c.atom && !c.loading) order.push_back(c.id);
-  std::stable_sort(order.begin(), order.end(), [&](unsigned a, unsigned b) {
-    return containers_[a].last_used < containers_[b].last_used;
-  });
+  for (const auto& c : containers_) {
+    if (!c.atom || c.loading) continue;
+    auto pos = order.end();
+    while (pos != order.begin() &&
+           containers_[*(pos - 1)].last_used > c.last_used)
+      --pos;
+    order.insert(pos, c.id);
+  }
 
   auto& remaining = touch_remaining_;
-  remaining.assign(used.counts().begin(), used.counts().end());
+  remaining.assign(used.begin(), used.end());
   for (const auto id : order) {
     auto& c = containers_[id];
     if (remaining[*c.atom] > 0) {

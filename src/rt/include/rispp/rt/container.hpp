@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "rispp/atom/molecule.hpp"
@@ -121,8 +122,10 @@ class ContainerFile {
   bool on_rotation_failed(unsigned c, std::size_t atom_kind, Cycle failed_at,
                           unsigned max_retries, Cycle retry_backoff_cycles);
 
-  /// Record an SI execution touching the given atom kinds (LRU update).
-  void touch(const atom::Molecule& used, Cycle now);
+  /// Record an SI execution touching the given atom kinds (LRU update):
+  /// `used` holds one count per catalog Atom, e.g. a row of
+  /// isa::SiLibrary::projection.
+  void touch(std::span<const atom::Count> used, Cycle now);
 
   /// True when some container's backoff window ended in (after, upto] — the
   /// container became targetable again, which dirties a cached plan's gate

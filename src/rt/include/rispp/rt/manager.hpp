@@ -31,11 +31,11 @@
 #include "rispp/isa/si_library.hpp"
 #include "rispp/obs/event.hpp"
 #include "rispp/rt/container.hpp"
+#include "rispp/rt/counters.hpp"
 #include "rispp/rt/energy.hpp"
 #include "rispp/rt/policy.hpp"
 #include "rispp/rt/rotation.hpp"
 #include "rispp/rt/selection.hpp"
-#include "rispp/util/stats.hpp"
 
 namespace rispp::rt {
 
@@ -180,7 +180,7 @@ class RisppManager {
   /// The policy objects driving selection/replacement (for introspection).
   const SelectionPolicy& selection_policy() const { return *selector_; }
   const ReplacementPolicy& replacement_policy() const { return *replacer_; }
-  const util::Counters& counters() const { return counters_; }
+  const KernelCounters& counters() const { return counters_; }
   std::uint64_t rotations_performed() const {
     return rotations_.rotations_performed();
   }
@@ -188,8 +188,12 @@ class RisppManager {
     return rotations_.rotations_cancelled();
   }
   /// Active (not yet released) forecast demands, aggregated per SI across
-  /// tasks (weights sum; the selector sees one demand per SI).
-  std::vector<ForecastDemand> active_demands() const;
+  /// tasks (weights sum; the selector sees one demand per SI), sorted by
+  /// SI. Kept up to date by forecast() and forecast_release(), which
+  /// re-sum only the SI they touched.
+  const std::vector<ForecastDemand>& active_demands() const {
+    return demands_;
+  }
   /// Expectation the monitor currently holds for an SI (compile-time value
   /// blended with observed behaviour); nullopt if never forecasted.
   std::optional<double> learned_expectation(std::size_t si) const;
@@ -216,6 +220,8 @@ class RisppManager {
   /// helpers over the cached plan.
   void reallocate(Cycle now);
   bool gate_passes(const std::vector<ForecastDemand>& demands) const;
+  /// Recomputes demands_' entry for `si` from its active windows.
+  void resum_demand(std::size_t si);
   void cancel_stale(Cycle now);
   void issue(Cycle now);
   /// Retire every rotation whose transfer ended Failed/Poisoned by `now`:
@@ -242,11 +248,19 @@ class RisppManager {
 
   struct DemandState {
     ForecastDemand demand;
-    std::uint64_t observed_executions = 0;  ///< since the forecast fired
+    /// executions_[si] when the forecast fired: the window observed
+    /// executions_[si] - executions_at_forecast executions by its release.
+    std::uint64_t executions_at_forecast = 0;
   };
   /// Keyed by (SI index, forecasting task) — quasi-parallel tasks hold
   /// independent demands on the same SI.
   std::map<std::pair<std::size_t, int>, DemandState> active_;
+  /// active_ aggregated per SI, sorted by SI — see active_demands().
+  std::vector<ForecastDemand> demands_;
+  /// Executions of each SI so far, by SI index. An execution counts against
+  /// every window open on its SI; each window reads the difference at its
+  /// release, so execute() touches no window.
+  std::vector<std::uint64_t> executions_;
   std::map<std::size_t, double> learned_;  ///< EWMA over release cycles
   /// Last observed execution latency keyed per (SI, executing task) —
   /// detects the SW→HW→faster-HW transitions reported as MoleculeUpgraded
@@ -268,28 +282,22 @@ class RisppManager {
   bool failed_since_plan_ = false;
 
   /// --- execute() fast path --------------------------------------------
-  /// Per-SI Molecule options with their rotatable projections precomputed
-  /// (the seed re-projected every option on every execution), plus a memo
-  /// of the winning option keyed on the container file's usable-atom
-  /// generation: between rotations the answer cannot change, so the common
-  /// execute() re-checks one integer instead of scanning options.
-  struct ExecOption {
-    const isa::MoleculeOption* opt = nullptr;
-    atom::Molecule projected;  ///< catalog().project_rotatable(opt->atoms)
+  /// The fastest option each SI can run on, memoized on the container
+  /// file's usable-atom generation: between rotations the answer cannot
+  /// change, so the common execute() re-checks one integer instead of
+  /// scanning the library's projection rows.
+  static constexpr std::size_t kSoftware = ~std::size_t{0};
+  struct ExecMemo {
+    std::uint64_t generation = ~std::uint64_t{0};  ///< none memoized yet
+    std::size_t option = kSoftware;  ///< option index, or kSoftware
   };
-  struct ExecCacheEntry {
-    std::vector<ExecOption> options;  ///< in SpecialInstruction order
-    std::uint64_t memo_generation = ~std::uint64_t{0};
-    const ExecOption* memo_best = nullptr;  ///< null = software molecule
-    bool memo_valid = false;
-  };
-  std::vector<ExecCacheEntry> exec_cache_;  ///< by SI index
+  std::vector<ExecMemo> exec_memo_;  ///< by SI index
 
   /// Bumped per booked / cancelled / failed rotation — see
   /// state_generation().
   std::uint64_t state_generation_ = 0;
 
-  util::Counters counters_;
+  KernelCounters counters_;
 };
 
 }  // namespace rispp::rt

@@ -28,6 +28,19 @@
 
 namespace rispp::rt {
 
+/// The greedy step construction behind both selectors. Starting from the
+/// empty configuration, each step takes the (demand, option) upgrade with
+/// the highest weight × cycles saved per additional container, scanning
+/// demands in the given order and options in library order (ties keep the
+/// first). When `limit` is given, only steps whose cumulative target stays
+/// within it are admissible — that is how ExhaustiveSelector orders the
+/// upgrades inside its independently optimised target. Works over the
+/// library's projection table: one Molecule is built per chosen step.
+SelectionPlan greedy_plan(const isa::SiLibrary& lib,
+                          const std::vector<ForecastDemand>& demands,
+                          std::uint64_t containers,
+                          const atom::Molecule* limit = nullptr);
+
 class GreedySelector : public SelectionPolicy {
  public:
   explicit GreedySelector(const isa::SiLibrary& lib) : SelectionPolicy(lib) {}

@@ -1,5 +1,7 @@
 #include "rispp/rt/manager.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "rispp/util/error.hpp"
@@ -55,19 +57,9 @@ RisppManager::RisppManager(std::shared_ptr<const isa::SiLibrary> lib,
       selector_(make_selection_policy(cfg_.selection_policy, *lib_)),
       replacer_(make_replacement_policy(cfg_.replacement_policy)),
       energy_(cfg_.power, cfg_.clock_mhz),
-      batch_(cfg_.sink) {
-  // Precompute the execute() fast-path tables: every Molecule option's
-  // rotatable projection (the satisfied_by / touch input) once, instead of
-  // re-projecting per execution.
-  exec_cache_.resize(lib_->size());
-  for (std::size_t si = 0; si < lib_->size(); ++si) {
-    const auto& options = lib_->at(si).options();
-    exec_cache_[si].options.reserve(options.size());
-    for (const auto& o : options)
-      exec_cache_[si].options.push_back(
-          {&o, lib_->catalog().project_rotatable(o.atoms)});
-  }
-}
+      batch_(cfg_.sink),
+      executions_(lib_->size(), 0),
+      exec_memo_(lib_->size()) {}
 
 void RisppManager::forecast(std::size_t si, double expected_executions,
                             double probability, Cycle now, int task) {
@@ -85,10 +77,11 @@ void RisppManager::forecast(std::size_t si, double expected_executions,
 
   auto& state = active_[{si, task}];
   state.demand = ForecastDemand{si, expectation, probability, task};
-  state.observed_executions = 0;
+  state.executions_at_forecast = executions_[si];
+  resum_demand(si);
   ++demand_generation_;  // dirties the cached plan
 
-  counters_.bump("forecasts");
+  counters_.bump(Counter::Forecasts);
   if (batch_.enabled())
     batch_.emit({.at = now,
                  .kind = obs::EventKind::ForecastSeen,
@@ -104,8 +97,8 @@ void RisppManager::forecast_release(std::size_t si, Cycle now, int task) {
   if (it == active_.end()) return;
 
   // Learn from this window: what did the SI actually execute?
-  const double observed =
-      static_cast<double>(it->second.observed_executions);
+  const double observed = static_cast<double>(
+      executions_[si] - it->second.executions_at_forecast);
   if (const auto l = learned_.find(si); l != learned_.end())
     l->second = cfg_.learning_rate * observed +
                 (1.0 - cfg_.learning_rate) * l->second;
@@ -113,8 +106,9 @@ void RisppManager::forecast_release(std::size_t si, Cycle now, int task) {
     learned_[si] = observed;
 
   active_.erase(it);
+  resum_demand(si);
   ++demand_generation_;  // dirties the cached plan
-  counters_.bump("forecast_releases");
+  counters_.bump(Counter::ForecastReleases);
   if (batch_.enabled())
     batch_.emit({.at = now,
                  .kind = obs::EventKind::ForecastReleased,
@@ -138,9 +132,9 @@ void RisppManager::process_failures(Cycle now) {
         b.container, b.atom_kind, b.done, cfg_.max_rotation_retries,
         cfg_.retry_backoff_cycles);
     // The transfer's energy was really spent — no refund, unlike a cancel.
-    counters_.bump("rotations_failed");
+    counters_.bump(Counter::RotationsFailed);
     if (b.result == hw::TransferResult::Poisoned)
-      counters_.bump("rotations_poisoned");
+      counters_.bump(Counter::RotationsPoisoned);
     failed_since_plan_ = true;
     ++state_generation_;  // the failed booking left the timeline; a backoff
                           // (or quarantine) changed the unblock horizon
@@ -153,14 +147,14 @@ void RisppManager::process_failures(Cycle now) {
                    // identifies the span whose transfer this was
                    .prev_cycles = b.start});
     if (quarantined) {
-      counters_.bump("acs_quarantined");
+      counters_.bump(Counter::AcsQuarantined);
       if (batch_.enabled())
         batch_.emit({.at = b.done,
                      .kind = obs::EventKind::AcQuarantined,
                      .container = static_cast<std::int32_t>(b.container)});
       RISPP_DEBUG << "AC " << b.container << " quarantined @" << b.done;
     } else {
-      counters_.bump("rotation_retries");
+      counters_.bump(Counter::RotationRetries);
     }
   }
 }
@@ -169,7 +163,7 @@ void RisppManager::reallocate(Cycle now) {
   process_failures(now);
   containers_.refresh(now);
   energy_.advance_leakage(now, loaded_slices());
-  counters_.bump("reallocations");
+  counters_.bump(Counter::Reallocations);
 
   // --- plan stage (cached) -------------------------------------------
   // The plan is a pure function of the demand set, so it only goes stale
@@ -187,13 +181,13 @@ void RisppManager::reallocate(Cycle now) {
   if (stale) {
     failed_since_plan_ = false;
 
-    const auto demands = active_demands();
+    const auto& demands = demands_;
     // Plan against the in-service AC budget: quarantined containers are
     // gone for good, so the selector must not count on their slots.
     plan_ = selector_->plan(demands, containers_.usable_count());
     plan_generation_ = demand_generation_;
     plan_time_ = now;
-    counters_.bump("selector_plans");
+    counters_.bump(Counter::SelectorPlans);
 
     // --- gate / cancel-stale / issue stages ---------------------------
     if (gate_passes(demands)) {
@@ -215,12 +209,14 @@ bool RisppManager::gate_passes(
   const auto& current = containers_.committed_atoms();
   const double gain = selector_->benefit(plan_.target, demands) -
                       selector_->benefit(current, demands);
-  const auto needed =
-      lib_->catalog().project_rotatable(current).residual_to(plan_.target);
+  // Transfer cost of the residual current ▷ target (committed atoms are
+  // all rotatable, so no projection is needed).
+  const auto have = current.counts();
+  const auto want = plan_.target.counts();
   double cost_cycles = 0;
-  for (std::size_t k = 0; k < needed.dimension(); ++k)
-    if (needed[k] > 0)
-      cost_cycles += static_cast<double>(needed[k]) *
+  for (std::size_t k = 0; k < want.size(); ++k)
+    if (want[k] > have[k])
+      cost_cycles += static_cast<double>(want[k] - have[k]) *
                      static_cast<double>(
                          rotations_.duration_cycles(k, lib_->catalog()));
   return !(cost_cycles > 0 && gain <= cfg_.rotation_cost_factor * cost_cycles);
@@ -239,7 +235,7 @@ void RisppManager::cancel_stale(Cycle now) {
     if (!rotations_.cancel_pending(c, now)) continue;
     containers_.abort_rotation(c);
     energy_.refund_rotation(pending->done - pending->start);
-    counters_.bump("rotations_cancelled");
+    counters_.bump(Counter::RotationsCancelled);
     ++state_generation_;  // a completion point left the timeline
     // The RotationFinished emitted at issue time will never happen; this
     // event is its tombstone, keyed on (container, transfer start).
@@ -259,10 +255,12 @@ void RisppManager::issue(Cycle now) {
   // so SIs come online gradually (minimal Molecule before refinements).
   // `cum` is the configuration the plan wants after each step; rotations
   // fill the gap between it and what the containers are committed to.
-  atom::Molecule cum(lib_->catalog().size());
+  std::vector<atom::Count> cum(lib_->catalog().size(), 0);
   for (const auto& step : plan_.steps) {
-    cum = cum.plus(step.additional);
-    for (std::size_t kind = 0; kind < cum.dimension(); ++kind) {
+    const auto additional = step.additional.counts();
+    for (std::size_t kind = 0; kind < cum.size(); ++kind)
+      cum[kind] += additional[kind];
+    for (std::size_t kind = 0; kind < cum.size(); ++kind) {
       while (containers_.committed_atoms()[kind] < cum[kind]) {
         const auto victim =
             containers_.choose_victim(plan_.target, now, *replacer_);
@@ -277,10 +275,10 @@ void RisppManager::issue(Cycle now) {
         // Energy covers the actual transfer window (bandwidth degradation
         // stretches it); identical to the nominal duration when fault-free.
         energy_.add_rotation(booking.done - booking.start);
-        counters_.bump("rotations");
+        counters_.bump(Counter::Rotations);
         if (booking.done - booking.start >
             rotations_.duration_cycles(kind, lib_->catalog()))
-          counters_.bump("rotations_degraded");
+          counters_.bump(Counter::RotationsDegraded);
         if (batch_.enabled()) {
           if (evicted)
             batch_.emit({.at = now,
@@ -326,42 +324,41 @@ RisppManager::ExecResult RisppManager::execute(std::size_t si, Cycle now,
   energy_.advance_leakage(now, loaded_slices());
 
   // Monitoring: an execution counts against every active window for this
-  // SI (the task parameter attributes container ownership, not usage).
-  for (auto& [key, state] : active_)
-    if (key.first == si) ++state.observed_executions;
+  // SI (the task parameter attributes container ownership, not usage);
+  // the windows read the counter at their release.
+  ++executions_[si];
 
   // Fastest-supported lookup, allocation-free: right after refresh(now) the
-  // incremental usable_atoms() view equals available_atoms(now) (the seed
-  // rebuilt that Molecule per execution), the candidate projections were
-  // precomputed at construction (the seed re-projected every option per
-  // execution), and the winner is memoized on the usable-atom generation —
-  // between rotations the scan reduces to one integer compare.
+  // incremental usable_atoms() view equals available_atoms(now), the
+  // options' rotatable projections are the library's table, and the winner
+  // is memoized on the usable-atom generation — between rotations the scan
+  // reduces to one integer compare.
   const auto& instr = lib_->at(si);
-  auto& cache = exec_cache_[si];
+  const auto& options = instr.options();
+  auto& memo = exec_memo_[si];
   const auto generation = containers_.usable_generation();
-  if (!cache.memo_valid || cache.memo_generation != generation) {
-    const auto& usable = containers_.usable_atoms();
-    const ExecOption* best = nullptr;
-    for (const auto& o : cache.options)
-      if (o.projected.leq(usable) &&
-          (!best || o.opt->cycles < best->opt->cycles))
-        best = &o;
-    cache.memo_best = best;
-    cache.memo_generation = generation;
-    cache.memo_valid = true;
+  if (memo.generation != generation) {
+    const auto usable = containers_.usable_atoms().counts();
+    memo.option = kSoftware;
+    for (std::size_t o = 0; o < options.size(); ++o)
+      if (atom::leq(lib_->projection(si, o), usable) &&
+          (memo.option == kSoftware ||
+           options[o].cycles < options[memo.option].cycles))
+        memo.option = o;
+    memo.generation = generation;
   }
-  const ExecOption* chosen = cache.memo_best;
 
   ExecResult res;
-  if (chosen) {
-    res = {chosen->opt->cycles, true, chosen->opt};
-    energy_.add_execution(chosen->opt->cycles, true);
-    containers_.touch(chosen->projected, now);
-    counters_.bump("si_exec_hw");
+  if (memo.option != kSoftware) {
+    const auto& chosen = options[memo.option];
+    res = {chosen.cycles, true, &chosen};
+    energy_.add_execution(chosen.cycles, true);
+    containers_.touch(lib_->projection(si, memo.option), now);
+    counters_.bump(Counter::SiExecHw);
   } else {
     res = {instr.software_cycles(), false, nullptr};
     energy_.add_execution(instr.software_cycles(), false);
-    counters_.bump("si_exec_sw");
+    counters_.bump(Counter::SiExecSw);
   }
   if (batch_.enabled()) {
     batch_.emit({.at = now,
@@ -393,26 +390,35 @@ atom::Molecule RisppManager::available_atoms(Cycle now) {
   return containers_.available_atoms(now);
 }
 
-std::vector<ForecastDemand> RisppManager::active_demands() const {
-  // Aggregate per SI: weights (expectation × probability) sum across tasks;
-  // ownership goes to the heaviest contributor.
-  std::map<std::size_t, ForecastDemand> merged;
-  for (const auto& [key, state] : active_) {
-    const auto& d = state.demand;
-    auto [it, inserted] = merged.emplace(key.first, d);
-    if (inserted) {
+void RisppManager::resum_demand(std::size_t si) {
+  // Aggregate SI si's windows: weights (expectation × probability) sum
+  // across tasks, in ascending task order — the order a rebuild over all of
+  // active_ would use, so the sum is bit-identical to it. The task goes to
+  // the window heavier than the running sum.
+  std::optional<ForecastDemand> merged;
+  for (auto it = active_.lower_bound({si, std::numeric_limits<int>::min()});
+       it != active_.end() && it->first.first == si; ++it) {
+    const auto& d = it->second.demand;
+    if (!merged) {
       // Normalize so weight() is preserved under probability = 1.
-      it->second.expected_executions = d.weight();
-      it->second.probability = 1.0;
+      merged = d;
+      merged->expected_executions = d.weight();
+      merged->probability = 1.0;
       continue;
     }
-    if (d.weight() > it->second.expected_executions) it->second.task = d.task;
-    it->second.expected_executions += d.weight();
+    if (d.weight() > merged->expected_executions) merged->task = d.task;
+    merged->expected_executions += d.weight();
   }
-  std::vector<ForecastDemand> out;
-  out.reserve(merged.size());
-  for (const auto& [si, d] : merged) out.push_back(d);
-  return out;
+  const auto pos = std::lower_bound(
+      demands_.begin(), demands_.end(), si,
+      [](const ForecastDemand& d, std::size_t s) { return d.si_index < s; });
+  const bool present = pos != demands_.end() && pos->si_index == si;
+  if (merged && present)
+    *pos = *merged;
+  else if (merged)
+    demands_.insert(pos, *merged);
+  else if (present)
+    demands_.erase(pos);
 }
 
 std::optional<double> RisppManager::learned_expectation(std::size_t si) const {

@@ -11,11 +11,12 @@ namespace rispp::rt {
 double SelectionPolicy::benefit(
     const atom::Molecule& config,
     const std::vector<ForecastDemand>& demands) const {
-  const auto& cat = lib_->catalog();
+  RISPP_REQUIRE(config.dimension() == lib_->catalog().size(),
+                "configuration dimension does not match the catalog");
   double total = 0.0;
   for (const auto& d : demands) {
     const auto& si = lib_->at(d.si_index);
-    const auto cycles = si.cycles_with(config, cat);
+    const auto cycles = lib_->cycles_on(d.si_index, config.counts());
     total += d.weight() * static_cast<double>(si.software_cycles() - cycles);
   }
   return total;

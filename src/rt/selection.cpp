@@ -6,59 +6,84 @@
 #include "rispp/util/error.hpp"
 
 namespace rispp::rt {
-namespace {
 
-/// Greedy step construction shared by both selectors. When `limit` is given,
-/// only steps whose cumulative target stays within `limit` are admissible —
-/// that is how ExhaustiveSelector orders the upgrades inside its
-/// independently-optimised target.
 SelectionPlan greedy_plan(const isa::SiLibrary& lib,
                           const std::vector<ForecastDemand>& demands,
                           std::uint64_t containers,
                           const atom::Molecule* limit) {
-  const auto& cat = lib.catalog();
+  const auto dim = lib.catalog().size();
+  RISPP_REQUIRE(!limit || limit->dimension() == dim,
+                "selection limit dimension does not match the catalog");
+  // The configuration built so far, as a count array. It only ever holds
+  // rotatable counts, so its sum is the number of containers it occupies.
+  std::vector<atom::Count> target(dim, 0);
+  std::uint64_t used = 0;
+  const auto cap = limit ? limit->counts() : std::span<const atom::Count>{};
   SelectionPlan out;
-  out.target = cat.zero();
 
   while (true) {
-    const auto used = cat.rotatable_determinant(out.target);
-    SelectionStep best;
-    bool found = false;
+    // The best upgrade is remembered by (demand, option); its Molecule is
+    // built once, after the scan.
+    const ForecastDemand* best = nullptr;
+    std::size_t best_option = 0;
+    std::uint32_t best_current = 0;
+    double best_gain = 0.0;
 
     for (const auto& d : demands) {
       if (d.weight() <= 0) continue;
-      const auto& si = lib.at(d.si_index);
-      const auto current = si.cycles_with(out.target, cat);
-      for (const auto& opt : si.options()) {
-        if (opt.cycles >= current) continue;
-        const auto need = cat.project_rotatable(
-            out.target.residual_to(cat.project_rotatable(opt.atoms)));
-        const auto k = need.determinant();
+      const auto& options = lib.at(d.si_index).options();
+      const auto current = lib.cycles_on(d.si_index, target);
+      for (std::size_t o = 0; o < options.size(); ++o) {
+        const auto cycles = options[o].cycles;
+        if (cycles >= current) continue;
+        // k = |need|, need = the option's rotatable residual over target;
+        // under a limit, target + need must stay within it.
+        const auto row = lib.projection(d.si_index, o);
+        std::uint64_t k = 0;
+        bool within = true;
+        for (std::size_t i = 0; i < dim; ++i) {
+          const atom::Count need = row[i] > target[i] ? row[i] - target[i] : 0;
+          k += need;
+          if (limit && target[i] + need > cap[i]) within = false;
+        }
         if (k == 0) continue;  // already supported (cycles check caught it)
         if (used + k > containers) continue;
-        if (limit && !out.target.plus(need).leq(*limit)) continue;
-        const double gain =
-            d.weight() * static_cast<double>(current - opt.cycles) /
-            static_cast<double>(k);
-        if (!found || gain > best.gain_per_container) {
-          best = SelectionStep{
-              .si_index = d.si_index,
-              .additional = need,
-              .old_cycles = current,
-              .new_cycles = opt.cycles,
-              .gain_per_container = gain,
-              .task = d.task,
-          };
-          found = true;
+        if (!within) continue;
+        const double gain = d.weight() *
+                            static_cast<double>(current - cycles) /
+                            static_cast<double>(k);
+        if (!best || gain > best_gain) {
+          best = &d;
+          best_option = o;
+          best_current = current;
+          best_gain = gain;
         }
       }
     }
-    if (!found) break;
-    out.target = out.target.plus(best.additional);
-    out.steps.push_back(best);
+    if (!best) break;
+
+    const auto row = lib.projection(best->si_index, best_option);
+    std::vector<atom::Count> additional(dim, 0);
+    for (std::size_t i = 0; i < dim; ++i)
+      if (row[i] > target[i]) {
+        additional[i] = row[i] - target[i];
+        target[i] = row[i];
+        used += additional[i];
+      }
+    out.steps.push_back(SelectionStep{
+        .si_index = best->si_index,
+        .additional = atom::Molecule(std::move(additional)),
+        .old_cycles = best_current,
+        .new_cycles = lib.at(best->si_index).options()[best_option].cycles,
+        .gain_per_container = best_gain,
+        .task = best->task,
+    });
   }
+  out.target = atom::Molecule(std::move(target));
   return out;
 }
+
+namespace {
 
 /// Enumerates one option choice (or software = no atoms) per demanded SI and
 /// returns the feasible configuration with the best total benefit.

@@ -6,8 +6,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace rispp::util {
@@ -95,17 +93,6 @@ class LogHistogram {
   std::uint64_t sum_ = 0;
   std::uint64_t min_ = 0;
   std::uint64_t max_ = 0;
-};
-
-/// Named counter set — the simulator exposes its event counts through this.
-class Counters {
- public:
-  void bump(const std::string& key, std::uint64_t by = 1) { map_[key] += by; }
-  std::uint64_t get(const std::string& key) const;
-  const std::map<std::string, std::uint64_t>& all() const { return map_; }
-
- private:
-  std::map<std::string, std::uint64_t> map_;
 };
 
 }  // namespace rispp::util

@@ -108,9 +108,4 @@ PercentileBound LogHistogram::percentile(double q) const {
           static_cast<double>(bucket_upper(i))};
 }
 
-std::uint64_t Counters::get(const std::string& key) const {
-  const auto it = map_.find(key);
-  return it == map_.end() ? 0 : it->second;
-}
-
 }  // namespace rispp::util

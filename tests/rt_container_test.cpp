@@ -74,7 +74,7 @@ TEST_F(Containers, VictimIsLruExcessContainer) {
   // Touch Pack recently; QuadSub is stale.
   rispp::atom::Molecule used(cat_.size());
   used.set(pack_, 1);
-  cf.touch(used, 100);
+  cf.touch(used.counts(), 100);
   // Target wants neither → both in excess; LRU = container 0 (QuadSub).
   const auto victim = cf.choose_victim(cat_.zero(), 200, *lru_);
   ASSERT_TRUE(victim.has_value());
@@ -171,13 +171,13 @@ TEST_F(Containers, TouchMarksLeastRecentlyUsedInstanceFirst) {
   cf.refresh(30);
   rispp::atom::Molecule one(cat_.size());
   one.set(transform_, 1);
-  cf.touch(one, 100);  // all timestamps equal → lowest id marked
+  cf.touch(one.counts(), 100);  // all timestamps equal → lowest id marked
   EXPECT_EQ(cf.at(0).last_used, 100u);
-  cf.touch(one, 200);  // containers 1 and 2 are older than 0
+  cf.touch(one.counts(), 200);  // containers 1 and 2 are older than 0
   EXPECT_EQ(cf.at(1).last_used, 200u);
-  cf.touch(one, 300);
+  cf.touch(one.counts(), 300);
   EXPECT_EQ(cf.at(2).last_used, 300u);
-  cf.touch(one, 400);  // back to container 0, now the stalest
+  cf.touch(one.counts(), 400);  // back to container 0, now the stalest
   EXPECT_EQ(cf.at(0).last_used, 400u);
   EXPECT_EQ(cf.at(1).last_used, 200u);
   EXPECT_EQ(cf.at(2).last_used, 300u);

@@ -72,7 +72,7 @@ TEST_F(Policies, LruAndMruPickTheirVictims) {
   file.refresh(30);
   rispp::atom::Molecule one(cat.size());
   one.set(transform, 1);
-  file.touch(one, 100);
+  file.touch(one.counts(), 100);
 
   const auto lru = make_replacement_policy("lru");
   const auto mru = make_replacement_policy("mru");

@@ -197,14 +197,6 @@ TEST(LogHistogram, PercentileRejectsBadArguments) {
   EXPECT_THROW(h.percentile(1.5), PreconditionError);
 }
 
-TEST(Counters, BumpAndGet) {
-  Counters c;
-  c.bump("x");
-  c.bump("x", 4);
-  EXPECT_EQ(c.get("x"), 5u);
-  EXPECT_EQ(c.get("missing"), 0u);
-}
-
 TEST(TextTable, AlignsAndGroups) {
   TextTable t{"name", "value"};
   t.add_row({"a", TextTable::grouped(1234567)});
