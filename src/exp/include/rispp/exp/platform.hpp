@@ -33,7 +33,9 @@ class Platform {
                                               std::string name = "custom");
 
   /// One of the built-in case-study libraries: "h264", "h264_with_sad",
-  /// "h264_frame". Throws util::PreconditionError listing the valid names.
+  /// "h264_frame". Each is built once per process, on first use, and every
+  /// call returns that same snapshot. Throws util::PreconditionError
+  /// listing the valid names.
   static std::shared_ptr<const Platform> builtin(const std::string& name);
   static std::vector<std::string> builtin_names();
 

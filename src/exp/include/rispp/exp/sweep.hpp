@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -27,12 +28,12 @@ struct SweepPoint {
   std::vector<std::pair<std::string, std::string>> params;
 
   /// Value of `key`, or nullptr when the plan has no such parameter.
-  const std::string* find(const std::string& key) const;
+  const std::string* find(std::string_view key) const;
   /// Value of `key`; throws util::PreconditionError when absent.
-  const std::string& at(const std::string& key) const;
-  std::string get(const std::string& key, const std::string& fallback) const;
-  std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const;
-  double get_f64(const std::string& key, double fallback) const;
+  const std::string& at(std::string_view key) const;
+  std::string get(std::string_view key, std::string_view fallback) const;
+  std::uint64_t get_u64(std::string_view key, std::uint64_t fallback) const;
+  double get_f64(std::string_view key, double fallback) const;
 };
 
 /// A sweep plan: either a cartesian grid over axes (last axis fastest) or an
@@ -87,6 +88,9 @@ class Sweep {
 
   /// Enumerates this view's points in ascending global-index order without
   /// materializing them all (validation over huge grids stays O(1) memory).
+  /// One SweepPoint is refilled in place for every point, so the reference
+  /// handed to `fn` is valid only during that call: copy the point to keep
+  /// it.
   void visit(const std::function<void(const SweepPoint&)>& fn) const;
 
   /// Materializes the plan: grid mode enumerates the cartesian product with
@@ -111,6 +115,9 @@ class Sweep {
   std::string describe(std::size_t max_listed = 64) const;
 
  private:
+  /// Makes `p` point `global_index` (no range check), reusing its storage.
+  void fill(std::size_t global_index, SweepPoint& p) const;
+
   std::vector<Axis> axes_;
   std::vector<std::vector<std::pair<std::string, std::string>>> explicit_;
   std::uint64_t base_seed_ = 1;

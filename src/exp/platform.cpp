@@ -27,10 +27,21 @@ std::vector<std::string> Platform::builtin_names() {
 }
 
 std::shared_ptr<const Platform> Platform::builtin(const std::string& name) {
-  if (name == "h264") return make(isa::SiLibrary::h264(), name);
-  if (name == "h264_with_sad")
-    return make(isa::SiLibrary::h264_with_sad(), name);
-  if (name == "h264_frame") return make(isa::SiLibrary::h264_frame(), name);
+  // A Platform is immutable, so each built-in snapshot is built once per
+  // process (on first use, thread-safely) and shared by every caller.
+  if (name == "h264") {
+    static const auto p = make(isa::SiLibrary::h264(), "h264");
+    return p;
+  }
+  if (name == "h264_with_sad") {
+    static const auto p =
+        make(isa::SiLibrary::h264_with_sad(), "h264_with_sad");
+    return p;
+  }
+  if (name == "h264_frame") {
+    static const auto p = make(isa::SiLibrary::h264_frame(), "h264_frame");
+    return p;
+  }
   std::string known;
   for (const auto& n : builtin_names()) {
     if (!known.empty()) known += ", ";

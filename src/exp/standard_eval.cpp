@@ -129,16 +129,14 @@ workload::PhasedConfig phased_config_for(const isa::SiLibrary& lib,
   return cfg;
 }
 
-/// The lib_* axis family: any of these present means the point runs on a
-/// synthetic library generated per point instead of the Platform snapshot.
-constexpr const char* kLibAxes[] = {
-    "lib_seed",    "lib_atoms",     "lib_static",  "lib_sis",
-    "lib_shape",   "lib_mol_min",   "lib_mol_max", "lib_bitstream",
-    "lib_speedup", "lib_max_count"};
-
+/// The lib_* axis family (lib_seed, lib_atoms, lib_static, lib_sis,
+/// lib_shape, lib_mol_min, lib_mol_max, lib_bitstream, lib_speedup,
+/// lib_max_count — see generator_config_for): any parameter named lib_*
+/// means the point runs on a synthetic library generated per point instead
+/// of the Platform snapshot. One pass over the params.
 bool has_lib_axes(const SweepPoint& point) {
-  for (const auto* axis : kLibAxes)
-    if (point.find(axis) != nullptr) return true;
+  for (const auto& [key, value] : point.params)
+    if (key.starts_with("lib_")) return true;
   return false;
 }
 

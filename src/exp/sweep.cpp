@@ -7,46 +7,46 @@
 
 namespace rispp::exp {
 
-const std::string* SweepPoint::find(const std::string& key) const {
+const std::string* SweepPoint::find(std::string_view key) const {
   for (const auto& [k, v] : params)
     if (k == key) return &v;
   return nullptr;
 }
 
-const std::string& SweepPoint::at(const std::string& key) const {
+const std::string& SweepPoint::at(std::string_view key) const {
   const auto* v = find(key);
   if (!v)
-    throw util::PreconditionError("sweep point has no parameter '" + key +
-                                  "'");
+    throw util::PreconditionError("sweep point has no parameter '" +
+                                  std::string(key) + "'");
   return *v;
 }
 
-std::string SweepPoint::get(const std::string& key,
-                            const std::string& fallback) const {
+std::string SweepPoint::get(std::string_view key,
+                            std::string_view fallback) const {
   const auto* v = find(key);
-  return v ? *v : fallback;
+  return v ? *v : std::string(fallback);
 }
 
-std::uint64_t SweepPoint::get_u64(const std::string& key,
+std::uint64_t SweepPoint::get_u64(std::string_view key,
                                   std::uint64_t fallback) const {
   const auto* v = find(key);
   if (!v) return fallback;
   char* end = nullptr;
   const auto parsed = std::strtoull(v->c_str(), &end, 10);
   if (end == v->c_str() || *end != '\0')
-    throw util::PreconditionError("sweep parameter '" + key + "'='" + *v +
-                                  "' is not an unsigned integer");
+    throw util::PreconditionError("sweep parameter '" + std::string(key) +
+                                  "'='" + *v + "' is not an unsigned integer");
   return parsed;
 }
 
-double SweepPoint::get_f64(const std::string& key, double fallback) const {
+double SweepPoint::get_f64(std::string_view key, double fallback) const {
   const auto* v = find(key);
   if (!v) return fallback;
   char* end = nullptr;
   const double parsed = std::strtod(v->c_str(), &end);
   if (end == v->c_str() || *end != '\0')
-    throw util::PreconditionError("sweep parameter '" + key + "'='" + *v +
-                                  "' is not a number");
+    throw util::PreconditionError("sweep parameter '" + std::string(key) +
+                                  "'='" + *v + "' is not a number");
   return parsed;
 }
 
@@ -146,23 +146,29 @@ SweepPoint Sweep::point_at(std::size_t global_index) const {
                     " out of range (plan has " +
                     std::to_string(total_points()) + " points)");
   SweepPoint p;
+  fill(global_index, p);
+  return p;
+}
+
+void Sweep::fill(std::size_t global_index, SweepPoint& p) const {
   p.index = global_index;
   p.seed = derive_seed(base_seed_, global_index);
   if (!explicit_.empty()) {
     p.params = explicit_[global_index];
-    return p;
+    return;
   }
   // Mixed-radix decomposition of the grid index, last axis fastest — the
-  // same order the odometer enumeration produces.
+  // same order the odometer enumeration produces. Assigning into existing
+  // pairs reuses their string buffers when `p` is refilled.
   p.params.resize(axes_.size());
   std::size_t rem = global_index;
   for (std::size_t a = axes_.size(); a > 0;) {
     --a;
     const auto& axis = axes_[a];
-    p.params[a] = {axis.name, axis.values[rem % axis.values.size()]};
+    p.params[a].first = axis.name;
+    p.params[a].second = axis.values[rem % axis.values.size()];
     rem /= axis.values.size();
   }
-  return p;
 }
 
 std::vector<std::size_t> Sweep::indices() const {
@@ -176,14 +182,19 @@ std::vector<std::size_t> Sweep::indices() const {
 
 void Sweep::visit(const std::function<void(const SweepPoint&)>& fn) const {
   const auto total = total_points();
-  for (std::size_t k = shard_index_; k < total; k += shard_count_)
-    fn(point_at(k));
+  SweepPoint p;
+  for (std::size_t k = shard_index_; k < total; k += shard_count_) {
+    fill(k, p);
+    fn(p);
+  }
 }
 
 std::vector<SweepPoint> Sweep::points() const {
   std::vector<SweepPoint> out;
   out.reserve(size());
-  visit([&](const SweepPoint& p) { out.push_back(p); });
+  const auto total = total_points();
+  for (std::size_t k = shard_index_; k < total; k += shard_count_)
+    out.push_back(point_at(k));
   return out;
 }
 
