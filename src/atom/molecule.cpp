@@ -51,9 +51,7 @@ Molecule Molecule::intersect(const Molecule& o) const {
 
 bool Molecule::leq(const Molecule& o) const {
   require_same_dimension(o, "leq");
-  for (std::size_t i = 0; i < counts_.size(); ++i)
-    if (counts_[i] > o.counts_[i]) return false;
-  return true;
+  return atom::leq(counts_, o.counts_);
 }
 
 Molecule Molecule::residual_to(const Molecule& o) const {

@@ -74,7 +74,6 @@ class SiLibrary {
   std::vector<std::size_t> first_option_;
 };
 
-
 /// Moves a library value into the immutable shared snapshot form that the
 /// thread-safe APIs (Simulator, RisppManager, exp::Platform) take: nobody
 /// can mutate it (const) and nobody can destroy it early (shared_ptr).

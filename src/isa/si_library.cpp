@@ -18,8 +18,9 @@ SiLibrary::SiLibrary(AtomCatalog catalog, std::vector<SpecialInstruction> sis)
       RISPP_REQUIRE(sis_[i].name() != sis_[j].name(),
                     "duplicate SI name: " + sis_[i].name());
 
-  // The projection table, with plain indexing: checked accessors per
-  // element made this loop the slowest part of building h264_frame().
+  // The projection table. Every library build runs this, a cold sweep
+  // set-up's h264_frame() included, so it indexes the count arrays directly
+  // instead of going through Molecule's checked per-element accessors.
   const auto dim = catalog_.size();
   const auto& atoms = catalog_.atoms();
   std::size_t rows = 0;

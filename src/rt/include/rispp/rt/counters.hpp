@@ -29,16 +29,26 @@ enum class Counter : std::uint8_t {
 
 class KernelCounters {
  public:
-  static constexpr std::size_t kSize =
-      static_cast<std::size_t>(Counter::SiExecSw) + 1;
   /// The name of each counter, indexed by Counter — what reports, tools and
   /// tests read them by.
-  static constexpr std::array<std::string_view, kSize> kNames = {
-      "forecasts",          "forecast_releases",   "reallocations",
-      "selector_plans",     "rotations",           "rotations_degraded",
-      "rotations_cancelled", "rotations_failed",   "rotations_poisoned",
-      "rotation_retries",   "acs_quarantined",     "si_exec_hw",
-      "si_exec_sw"};
+  static constexpr auto kNames = std::to_array<std::string_view>({
+      "forecasts",
+      "forecast_releases",
+      "reallocations",
+      "selector_plans",
+      "rotations",
+      "rotations_degraded",
+      "rotations_cancelled",
+      "rotations_failed",
+      "rotations_poisoned",
+      "rotation_retries",
+      "acs_quarantined",
+      "si_exec_hw",
+      "si_exec_sw",
+  });
+  static constexpr std::size_t kSize = kNames.size();
+  static_assert(kSize == static_cast<std::size_t>(Counter::SiExecSw) + 1,
+                "one name per Counter, in enum order");
 
   void bump(Counter c) { ++values_[index(c)]; }
   std::uint64_t operator[](Counter c) const { return values_[index(c)]; }

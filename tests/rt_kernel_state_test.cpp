@@ -127,8 +127,15 @@ void run_sequence(const SiLibrary& lib, std::uint64_t seed, double rate) {
     const auto task = random_task();
     const auto roll = rng.below(10);
     if (roll < 3) {
-      const double expected = static_cast<double>(rng.below(400));
-      const double probability = 0.1 + 0.9 * rng.uniform01();
+      // Half the draws come from a coarse grid, so window weights often tie
+      // with the running sum and the task tie-break is exercised too.
+      const bool coarse = rng.below(2) == 0;
+      const double expected =
+          coarse ? 50.0 * static_cast<double>(rng.below(4))
+                 : static_cast<double>(rng.below(400));
+      const double probability =
+          coarse ? 0.5 * static_cast<double>(1 + rng.below(2))
+                 : 0.1 + 0.9 * rng.uniform01();
       reforecast_live |= model.live(si, task);
       mgr.forecast(si, expected, probability, now, task);
       model.forecast(si, expected, probability, task);
@@ -144,8 +151,8 @@ void run_sequence(const SiLibrary& lib, std::uint64_t seed, double rate) {
   }
   EXPECT_TRUE(reforecast_live) << "sequence never re-forecast a live window";
 
-  // Releasing a window nobody opened (an SI past the forecast tasks' ids)
-  // changes nothing.
+  // Releasing a window nobody opened (a task id no forecast used) changes
+  // nothing.
   const auto before = mgr.active_demands();
   mgr.forecast_release(0, now + 1, 1000);
   model.release(0, 1000);
