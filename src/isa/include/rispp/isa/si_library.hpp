@@ -59,11 +59,24 @@ class SiLibrary {
     return {projections_.data() + (first_option_[si] + option) * dim, dim};
   }
 
-  /// Cycles SI `si` takes when the rotatable Atoms `loaded` (catalog
-  /// dimension) are available: the fastest option whose projection fits,
-  /// otherwise software. Equals at(si).cycles_with(loaded, catalog()).
+  /// fastest_option()'s answer when no option fits: run in software.
+  static constexpr std::size_t kSoftware = ~std::size_t{0};
+
+  /// Index of SI `si`'s fastest option whose projection fits in the
+  /// rotatable Atoms `loaded` (catalog dimension; the first such option on
+  /// a tie), or kSoftware — at(si).fastest_supported(loaded, catalog())
+  /// over the projection table.
+  std::size_t fastest_option(std::size_t si,
+                             std::span<const atom::Count> loaded) const;
+
+  /// Cycles SI `si` takes on `loaded`: its fastest fitting option's, or
+  /// software's. Equals at(si).cycles_with(loaded, catalog()).
   std::uint32_t cycles_on(std::size_t si,
-                          std::span<const atom::Count> loaded) const;
+                          std::span<const atom::Count> loaded) const {
+    const auto o = fastest_option(si, loaded);
+    return o == kSoftware ? sis_[si].software_cycles()
+                          : sis_[si].options()[o].cycles;
+  }
 
  private:
   AtomCatalog catalog_;

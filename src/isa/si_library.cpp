@@ -40,17 +40,17 @@ SiLibrary::SiLibrary(AtomCatalog catalog, std::vector<SpecialInstruction> sis)
     }
 }
 
-std::uint32_t SiLibrary::cycles_on(std::size_t si,
-                                   std::span<const atom::Count> loaded) const {
-  // Every hardware option is strictly faster than software (enforced by
-  // SpecialInstruction), so the minimum over software and the fitting
-  // options is fastest_supported()'s answer.
+std::size_t SiLibrary::fastest_option(
+    std::size_t si, std::span<const atom::Count> loaded) const {
+  // The cycle compare goes first: it is cheaper than the fit test and
+  // rejects most options once a fast one fits.
   const auto& options = sis_[si].options();
-  auto cycles = sis_[si].software_cycles();
+  auto best = kSoftware;
   for (std::size_t o = 0; o < options.size(); ++o)
-    if (options[o].cycles < cycles && atom::leq(projection(si, o), loaded))
-      cycles = options[o].cycles;
-  return cycles;
+    if ((best == kSoftware || options[o].cycles < options[best].cycles) &&
+        atom::leq(projection(si, o), loaded))
+      best = o;
+  return best;
 }
 
 namespace {

@@ -50,8 +50,7 @@ class KernelCounters {
   static_assert(kSize == static_cast<std::size_t>(Counter::SiExecSw) + 1,
                 "one name per Counter, in enum order");
 
-  void bump(Counter c) { ++values_[index(c)]; }
-  std::uint64_t operator[](Counter c) const { return values_[index(c)]; }
+  void bump(Counter c) { ++values_[static_cast<std::size_t>(c)]; }
 
   /// Value of the counter called `name` (e.g. "selector_plans"); 0 for a
   /// name the kernel does not count.
@@ -61,12 +60,7 @@ class KernelCounters {
     return 0;
   }
 
-  static std::string_view name(Counter c) { return kNames[index(c)]; }
-
  private:
-  static constexpr std::size_t index(Counter c) {
-    return static_cast<std::size_t>(c);
-  }
   std::array<std::uint64_t, kSize> values_{};
 };
 

@@ -286,10 +286,10 @@ class RisppManager {
   /// file's usable-atom generation: between rotations the answer cannot
   /// change, so the common execute() re-checks one integer instead of
   /// scanning the library's projection rows.
-  static constexpr std::size_t kSoftware = ~std::size_t{0};
   struct ExecMemo {
     std::uint64_t generation = ~std::uint64_t{0};  ///< none memoized yet
-    std::size_t option = kSoftware;  ///< option index, or kSoftware
+    /// SiLibrary::fastest_option's answer at that generation.
+    std::size_t option = isa::SiLibrary::kSoftware;
   };
   std::vector<ExecMemo> exec_memo_;  ///< by SI index
 

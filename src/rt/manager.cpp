@@ -334,23 +334,17 @@ RisppManager::ExecResult RisppManager::execute(std::size_t si, Cycle now,
   // is memoized on the usable-atom generation — between rotations the scan
   // reduces to one integer compare.
   const auto& instr = lib_->at(si);
-  const auto& options = instr.options();
   auto& memo = exec_memo_[si];
   const auto generation = containers_.usable_generation();
   if (memo.generation != generation) {
-    const auto usable = containers_.usable_atoms().counts();
-    memo.option = kSoftware;
-    for (std::size_t o = 0; o < options.size(); ++o)
-      if (atom::leq(lib_->projection(si, o), usable) &&
-          (memo.option == kSoftware ||
-           options[o].cycles < options[memo.option].cycles))
-        memo.option = o;
+    memo.option =
+        lib_->fastest_option(si, containers_.usable_atoms().counts());
     memo.generation = generation;
   }
 
   ExecResult res;
-  if (memo.option != kSoftware) {
-    const auto& chosen = options[memo.option];
+  if (memo.option != isa::SiLibrary::kSoftware) {
+    const auto& chosen = instr.options()[memo.option];
     res = {chosen.cycles, true, &chosen};
     energy_.add_execution(chosen.cycles, true);
     containers_.touch(lib_->projection(si, memo.option), now);

@@ -144,7 +144,8 @@ TEST(SelectionOracle, MatchesReferenceOnH264Frame) {
 
 /// The table the kernel reads is the catalog projection of every option,
 /// and it travels with the library value (a copy outliving its source reads
-/// its own table).
+/// its own table); fastest_option and cycles_on over it agree with
+/// SpecialInstruction's Molecule-based fastest_supported and cycles_with.
 TEST(SelectionOracle, ProjectionTableMatchesCatalogProjection) {
   rispp::util::Xoshiro256 rng(3);
   for (std::uint64_t seed = kSeedBegin; seed < kSeedEnd; seed += 7) {
@@ -166,6 +167,9 @@ TEST(SelectionOracle, ProjectionTableMatchesCatalogProjection) {
       }
       for (int trial = 0; trial < 8; ++trial) {
         const auto loaded = random_molecule(lib, rng);
+        const auto fastest = lib.fastest_option(si, loaded.counts());
+        EXPECT_EQ(fastest == SiLibrary::kSoftware ? nullptr : &options[fastest],
+                  lib.at(si).fastest_supported(loaded, cat));
         EXPECT_EQ(lib.cycles_on(si, loaded.counts()),
                   lib.at(si).cycles_with(loaded, cat));
       }
