@@ -174,19 +174,23 @@ std::optional<Cycle> ContainerFile::next_unblock_after(Cycle t) const {
 
 std::optional<unsigned> ContainerFile::choose_victim(
     const atom::Molecule& target, Cycle now, ReplacementPolicy& policy) const {
+  RISPP_REQUIRE(target.dimension() == committed_.dimension(),
+                "victim target dimension does not match the catalog");
   for (const auto& c : containers_)
     if (!c.atom && !c.loading && !c.blocked(now)) return c.id;
   // A container is expendable when its kind's committed count exceeds the
   // target's demand for that kind (needed atoms are never evicted). The
   // policy sees the expendable ones in container-id order.
-  std::vector<VictimCandidate> candidates;
-  const atom::Molecule excess = committed_.saturating_sub(target);
+  const auto committed = committed_.counts();
+  const auto wanted = target.counts();
+  auto& candidates = victim_candidates_;
+  candidates.clear();
   for (const auto& c : containers_) {
     if (c.busy(now)) continue;  // cannot preempt an in-flight transfer
     if (c.blocked(now)) continue;  // fault backoff / quarantine
     const auto kind = c.loading ? c.loading : c.atom;
     if (!kind) continue;
-    if (excess[*kind] == 0) continue;
+    if (committed[*kind] <= wanted[*kind]) continue;  // no excess
     candidates.push_back(VictimCandidate{
         .container = c.id,
         .atom_kind = *kind,

@@ -34,6 +34,14 @@ constexpr int kNoTask = -1;
 
 class ReplacementPolicy;  // policy.hpp
 
+/// What a replacement policy sees per expendable container.
+struct VictimCandidate {
+  unsigned container = 0;
+  std::size_t atom_kind = 0;  ///< committed content (catalog index)
+  Cycle last_used = 0;
+  int owner_task = kNoTask;
+};
+
 struct AtomContainer {
   unsigned id = 0;
   /// Atom kind currently usable in this container (catalog index).
@@ -155,10 +163,12 @@ class ContainerFile {
   std::uint64_t loaded_slices_ = 0;  ///< incremental loaded_slices() view
   unsigned loading_count_ = 0;       ///< containers with a transfer in flight
   /// Scratch buffers reused by touch() so the per-execution LRU update makes
-  /// no allocations (a ContainerFile was never shareable across threads —
-  /// one manager owns one file — so plain members are fine).
+  /// no allocations, and by choose_victim() for the expendable containers
+  /// (a ContainerFile was never shareable across threads — one manager owns
+  /// one file — so plain members are fine).
   mutable std::vector<unsigned> touch_order_;
   mutable std::vector<atom::Count> touch_remaining_;
+  mutable std::vector<VictimCandidate> victim_candidates_;
 };
 
 }  // namespace rispp::rt

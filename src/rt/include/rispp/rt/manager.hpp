@@ -271,7 +271,8 @@ class RisppManager {
 
   /// --- plan cache -----------------------------------------------------
   /// The selector re-runs only when the demand set changed (generation
-  /// counter) or a rotation completed since the plan was computed.
+  /// counter) or a rotation completed since the plan was computed. It
+  /// re-plans in place: plan_'s scan record is what it revalidates.
   SelectionPlan plan_;
   std::uint64_t demand_generation_ = 0;
   std::uint64_t plan_generation_ = ~std::uint64_t{0};  ///< none cached yet
@@ -296,6 +297,9 @@ class RisppManager {
   /// Bumped per booked / cancelled / failed rotation — see
   /// state_generation().
   std::uint64_t state_generation_ = 0;
+
+  /// issue()'s per-step cumulative target, reused across calls.
+  std::vector<atom::Count> issue_cum_;
 
   KernelCounters counters_;
 };

@@ -23,6 +23,7 @@
 /// a policy means one class plus one table entry (DESIGN.md §7).
 
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -54,9 +55,52 @@ struct SelectionStep {
   int task = -1;
 };
 
+/// One admissible upgrade a greedy scan found (see greedy_plan): demand
+/// `demand` (an index into the demand vector) moves to option `option` of
+/// its SI, saving `saved` of its `current` cycles for `k` more containers.
+/// None of it depends on the demand's weight.
+struct ScanCandidate {
+  std::size_t demand = 0;
+  std::size_t option = 0;
+  std::uint32_t saved = 0;
+  std::uint32_t current = 0;
+  std::uint64_t k = 0;
+
+  bool operator==(const ScanCandidate&) const = default;
+};
+
+/// The weight-independent half of a greedy plan, kept so that a re-plan
+/// whose key matches recomputes only the gains (greedy_plan).
+struct ScanRecord {
+  static constexpr std::size_t kOff = ~std::size_t{0};
+
+  /// --- key: every input a candidate depends on, besides the library ---
+  bool valid = false;  ///< the record describes a complete plan
+  /// Per demand: its SI index, or kOff when its weight is ≤ 0.
+  std::vector<std::size_t> sis;
+  std::uint64_t containers = 0;      ///< the AC budget
+  std::vector<atom::Count> limit;    ///< the limit's counts; empty if none
+
+  /// --- per step, in plan order ---
+  struct Step {
+    std::size_t begin = 0;   ///< the step's candidates are
+    std::size_t end = 0;     ///< candidates[begin, end)
+    std::size_t chosen = 0;  ///< index of the winner in `candidates`
+
+    bool operator==(const Step&) const = default;
+  };
+  std::vector<Step> steps;
+  std::vector<ScanCandidate> candidates;  ///< every step's, in scan order
+  /// Scratch: the configuration the steps have built so far.
+  std::vector<atom::Count> target;
+
+  bool operator==(const ScanRecord&) const = default;
+};
+
 struct SelectionPlan {
   atom::Molecule target;             ///< rotatable Atom configuration
   std::vector<SelectionStep> steps;  ///< in application order
+  ScanRecord scan;                   ///< what re-planning revalidates
 };
 
 /// Decides which Atom configuration the platform should converge to
@@ -67,11 +111,22 @@ class SelectionPolicy {
  public:
   virtual ~SelectionPolicy() = default;
 
-  /// Plans the target configuration for `containers` AC slots. Steps start
-  /// from the empty configuration; the kernel diffs the target against what
-  /// is already committed.
-  virtual SelectionPlan plan(const std::vector<ForecastDemand>& demands,
-                             std::uint64_t containers) const = 0;
+  /// Plans the target configuration for `containers` AC slots into `plan`.
+  /// Steps start from the empty configuration; the kernel diffs the target
+  /// against what is already committed. Precondition: `plan` is either
+  /// empty or the previous result of this same policy object, whose scan
+  /// record it may revalidate instead of planning from scratch. The result
+  /// equals a fresh plan's in every field.
+  virtual void replan(const std::vector<ForecastDemand>& demands,
+                      std::uint64_t containers, SelectionPlan& plan) const = 0;
+
+  /// A fresh plan: replan into an empty one.
+  SelectionPlan plan(const std::vector<ForecastDemand>& demands,
+                     std::uint64_t containers) const {
+    SelectionPlan p;
+    replan(demands, containers, p);
+    return p;
+  }
 
   /// Total expected benefit (weighted cycles saved vs all-software) of a
   /// configuration for the given demands. Shared across implementations —
@@ -90,23 +145,15 @@ class SelectionPolicy {
   const isa::SiLibrary* lib_;
 };
 
-/// What a replacement policy sees per expendable container.
-struct VictimCandidate {
-  unsigned container = 0;
-  std::size_t atom_kind = 0;  ///< committed content (catalog index)
-  Cycle last_used = 0;
-  int owner_task = kNoTask;
-};
-
-/// Picks the rotation victim among expendable candidates (paper §5c).
-/// `pick` is only called with a non-empty candidate list, built in
-/// container-id order; stateful policies (the round-robin cursor) update
-/// their state inside pick — one policy instance therefore belongs to one
-/// ContainerFile.
+/// Picks the rotation victim among expendable candidates (paper §5c;
+/// VictimCandidate is in container.hpp). `pick` is only called with a
+/// non-empty candidate list, built in container-id order; stateful policies
+/// (the round-robin cursor) update their state inside pick — one policy
+/// instance therefore belongs to one ContainerFile.
 class ReplacementPolicy {
  public:
   virtual ~ReplacementPolicy() = default;
-  virtual unsigned pick(const std::vector<VictimCandidate>& candidates) = 0;
+  virtual unsigned pick(std::span<const VictimCandidate> candidates) = 0;
   virtual std::string_view name() const = 0;
 };
 
@@ -114,14 +161,14 @@ class ReplacementPolicy {
 /// are the cheapest to give up. Ties break towards the lowest container id.
 class LruReplacement final : public ReplacementPolicy {
  public:
-  unsigned pick(const std::vector<VictimCandidate>& candidates) override;
+  unsigned pick(std::span<const VictimCandidate> candidates) override;
   std::string_view name() const override { return "lru"; }
 };
 
 /// Most-recently-used — an adversarial anti-policy for ablations.
 class MruReplacement final : public ReplacementPolicy {
  public:
-  unsigned pick(const std::vector<VictimCandidate>& candidates) override;
+  unsigned pick(std::span<const VictimCandidate> candidates) override;
   std::string_view name() const override { return "mru"; }
 };
 
@@ -129,7 +176,7 @@ class MruReplacement final : public ReplacementPolicy {
 /// the expendable containers instead of hammering the lowest id.
 class RoundRobinReplacement final : public ReplacementPolicy {
  public:
-  unsigned pick(const std::vector<VictimCandidate>& candidates) override;
+  unsigned pick(std::span<const VictimCandidate> candidates) override;
   std::string_view name() const override { return "round-robin"; }
 
  private:

@@ -28,28 +28,37 @@
 
 namespace rispp::rt {
 
-/// The greedy step construction behind both selectors. Starting from the
-/// empty configuration, each step takes the (demand, option) upgrade with
-/// the highest weight × cycles saved per additional container, scanning
-/// demands in the given order and options in library order (ties keep the
-/// first). When `limit` is given, only steps whose cumulative target stays
-/// within it are admissible — that is how ExhaustiveSelector orders the
-/// upgrades inside its independently optimised target. Works over the
-/// library's projection table: one Molecule is built per chosen step.
-SelectionPlan greedy_plan(const isa::SiLibrary& lib,
-                          const std::vector<ForecastDemand>& demands,
-                          std::uint64_t containers,
-                          const atom::Molecule* limit = nullptr);
+/// The greedy step construction behind both selectors, into `plan`.
+/// Starting from the empty configuration, each step takes the (demand,
+/// option) upgrade with the highest weight × cycles saved per additional
+/// container, scanning demands in the given order and options in library
+/// order (ties keep the first). When `limit` is given, only steps whose
+/// cumulative target stays within it are admissible — that is how
+/// ExhaustiveSelector orders the upgrades inside its independently
+/// optimised target. Works over the library's projection table: one
+/// Molecule is built per chosen step.
+///
+/// A scan records each step's admissible candidates in `plan.scan`. They
+/// depend only on the key — which demands have a positive weight and their
+/// SIs, the AC budget, the limit — and on the steps before. When the key
+/// matches the record's, the recorded steps are revalidated: their gains
+/// are recomputed in the recorded order with the same expression, a step
+/// whose winner holds keeps its Atoms and gets the new gain and task, and
+/// the scan resumes fresh from the first step whose winner changed. The
+/// result equals a fresh plan's in every field. Precondition: `plan` is
+/// empty or holds this function's last result over the same library.
+void greedy_plan(const isa::SiLibrary& lib,
+                 const std::vector<ForecastDemand>& demands,
+                 std::uint64_t containers, const atom::Molecule* limit,
+                 SelectionPlan& plan);
 
 class GreedySelector : public SelectionPolicy {
  public:
   explicit GreedySelector(const isa::SiLibrary& lib) : SelectionPolicy(lib) {}
 
-  /// Plans the target configuration for `containers` AC slots. The plan's
-  /// steps start from the empty configuration; the caller diffs the target
-  /// against what is already loaded.
-  SelectionPlan plan(const std::vector<ForecastDemand>& demands,
-                     std::uint64_t containers) const override;
+  /// greedy_plan without a limit.
+  void replan(const std::vector<ForecastDemand>& demands,
+              std::uint64_t containers, SelectionPlan& plan) const override;
 
   std::string_view name() const override { return "greedy"; }
 };
@@ -64,8 +73,10 @@ class ExhaustiveSelector : public SelectionPolicy {
   explicit ExhaustiveSelector(const isa::SiLibrary& lib)
       : SelectionPolicy(lib) {}
 
-  SelectionPlan plan(const std::vector<ForecastDemand>& demands,
-                     std::uint64_t containers) const override;
+  /// Enumerates the target, then revalidates or re-runs greedy_plan with
+  /// it as the limit (so a new target is a new key).
+  void replan(const std::vector<ForecastDemand>& demands,
+              std::uint64_t containers, SelectionPlan& plan) const override;
 
   std::string_view name() const override { return "exhaustive"; }
 };

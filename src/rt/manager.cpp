@@ -183,8 +183,10 @@ void RisppManager::reallocate(Cycle now) {
 
     const auto& demands = demands_;
     // Plan against the in-service AC budget: quarantined containers are
-    // gone for good, so the selector must not count on their slots.
-    plan_ = selector_->plan(demands, containers_.usable_count());
+    // gone for good, so the selector must not count on their slots. The
+    // selector revalidates the previous plan's scan record when the
+    // demanded SIs and the budget are unchanged.
+    selector_->replan(demands, containers_.usable_count(), plan_);
     plan_generation_ = demand_generation_;
     plan_time_ = now;
     counters_.bump(Counter::SelectorPlans);
@@ -255,13 +257,17 @@ void RisppManager::issue(Cycle now) {
   // so SIs come online gradually (minimal Molecule before refinements).
   // `cum` is the configuration the plan wants after each step; rotations
   // fill the gap between it and what the containers are committed to.
-  std::vector<atom::Count> cum(lib_->catalog().size(), 0);
+  auto& cum = issue_cum_;
+  cum.assign(lib_->catalog().size(), 0);
   for (const auto& step : plan_.steps) {
     const auto additional = step.additional.counts();
     for (std::size_t kind = 0; kind < cum.size(); ++kind)
       cum[kind] += additional[kind];
+    // start_rotation updates the committed counts in place, so this view
+    // stays current through the loop below.
+    const auto committed = containers_.committed_atoms().counts();
     for (std::size_t kind = 0; kind < cum.size(); ++kind) {
-      while (containers_.committed_atoms()[kind] < cum[kind]) {
+      while (committed[kind] < cum[kind]) {
         const auto victim =
             containers_.choose_victim(plan_.target, now, *replacer_);
         if (!victim) return;  // all remaining containers busy or needed;

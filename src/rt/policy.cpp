@@ -22,14 +22,14 @@ double SelectionPolicy::benefit(
   return total;
 }
 
-unsigned LruReplacement::pick(const std::vector<VictimCandidate>& candidates) {
+unsigned LruReplacement::pick(std::span<const VictimCandidate> candidates) {
   const VictimCandidate* best = nullptr;
   for (const auto& c : candidates)
     if (!best || c.last_used < best->last_used) best = &c;
   return best->container;
 }
 
-unsigned MruReplacement::pick(const std::vector<VictimCandidate>& candidates) {
+unsigned MruReplacement::pick(std::span<const VictimCandidate> candidates) {
   const VictimCandidate* best = nullptr;
   for (const auto& c : candidates)
     if (!best || c.last_used > best->last_used) best = &c;
@@ -37,7 +37,7 @@ unsigned MruReplacement::pick(const std::vector<VictimCandidate>& candidates) {
 }
 
 unsigned RoundRobinReplacement::pick(
-    const std::vector<VictimCandidate>& candidates) {
+    std::span<const VictimCandidate> candidates) {
   // Candidates arrive in container-id order: take the first at or past the
   // cursor, wrapping to the lowest id when the cursor ran off the end.
   const VictimCandidate* chosen = nullptr;

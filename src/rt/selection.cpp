@@ -7,62 +7,135 @@
 
 namespace rispp::rt {
 
-SelectionPlan greedy_plan(const isa::SiLibrary& lib,
-                          const std::vector<ForecastDemand>& demands,
-                          std::uint64_t containers,
-                          const atom::Molecule* limit) {
+namespace {
+
+bool same_key(const ScanRecord& rec, const std::vector<ForecastDemand>& demands,
+              std::uint64_t containers, std::span<const atom::Count> cap) {
+  if (!rec.valid || rec.containers != containers ||
+      rec.sis.size() != demands.size() ||
+      !std::equal(cap.begin(), cap.end(), rec.limit.begin(), rec.limit.end()))
+    return false;
+  for (std::size_t d = 0; d < demands.size(); ++d)
+    if (rec.sis[d] != (demands[d].weight() <= 0 ? ScanRecord::kOff
+                                                 : demands[d].si_index))
+      return false;
+  return true;
+}
+
+void rekey(ScanRecord& rec, const std::vector<ForecastDemand>& demands,
+           std::uint64_t containers, std::span<const atom::Count> cap) {
+  rec.sis.clear();
+  for (const auto& d : demands)
+    rec.sis.push_back(d.weight() <= 0 ? ScanRecord::kOff : d.si_index);
+  rec.containers = containers;
+  rec.limit.assign(cap.begin(), cap.end());
+  rec.steps.clear();
+  rec.candidates.clear();
+}
+
+}  // namespace
+
+void greedy_plan(const isa::SiLibrary& lib,
+                 const std::vector<ForecastDemand>& demands,
+                 std::uint64_t containers, const atom::Molecule* limit,
+                 SelectionPlan& plan) {
   const auto dim = lib.catalog().size();
   RISPP_REQUIRE(!limit || limit->dimension() == dim,
                 "selection limit dimension does not match the catalog");
+  const auto cap = limit ? limit->counts() : std::span<const atom::Count>{};
+  auto& rec = plan.scan;
+  // Recorded steps [0, kept) are revalidated; later ones are scanned fresh.
+  bool changed = !same_key(rec, demands, containers, cap);
+  if (changed) {
+    rekey(rec, demands, containers, cap);
+    plan.steps.clear();
+  }
+  rec.valid = false;  // until the record describes a complete plan again
+  std::size_t kept = rec.steps.size();
   // The configuration built so far, as a count array. It only ever holds
   // rotatable counts, so its sum is the number of containers it occupies.
-  std::vector<atom::Count> target(dim, 0);
+  auto& target = rec.target;
+  target.assign(dim, 0);
   std::uint64_t used = 0;
-  const auto cap = limit ? limit->counts() : std::span<const atom::Count>{};
-  SelectionPlan out;
 
-  while (true) {
-    // The best upgrade is remembered by (demand, option); its Molecule is
-    // built once, after the scan.
-    const ForecastDemand* best = nullptr;
-    std::size_t best_option = 0;
-    std::uint32_t best_current = 0;
-    double best_gain = 0.0;
-
-    for (const auto& d : demands) {
-      if (d.weight() <= 0) continue;
-      const auto& options = lib.at(d.si_index).options();
-      const auto current = lib.cycles_on(d.si_index, target);
-      for (std::size_t o = 0; o < options.size(); ++o) {
-        const auto cycles = options[o].cycles;
-        if (cycles >= current) continue;
-        // k = |need|, need = the option's rotatable residual over target;
-        // under a limit, target + need must stay within it.
-        const auto row = lib.projection(d.si_index, o);
-        std::uint64_t k = 0;
-        bool within = true;
-        for (std::size_t i = 0; i < dim; ++i) {
-          const atom::Count need = row[i] > target[i] ? row[i] - target[i] : 0;
-          k += need;
-          if (limit && target[i] + need > cap[i]) within = false;
-        }
-        if (k == 0) continue;  // already supported (cycles check caught it)
-        if (used + k > containers) continue;
-        if (!within) continue;
-        const double gain = d.weight() *
-                            static_cast<double>(current - cycles) /
-                            static_cast<double>(k);
-        if (!best || gain > best_gain) {
-          best = &d;
-          best_option = o;
-          best_current = current;
-          best_gain = gain;
+  // Once every recorded step holds, so does the final, empty scan: which
+  // candidates are admissible depends on no weight.
+  for (std::size_t s = 0; s < kept || changed; ++s) {
+    if (s >= kept) {
+      const auto begin = rec.candidates.size();
+      for (std::size_t d = 0; d < demands.size(); ++d) {
+        if (demands[d].weight() <= 0) continue;
+        const auto si = demands[d].si_index;
+        const auto& options = lib.at(si).options();
+        const auto current = lib.cycles_on(si, target);
+        for (std::size_t o = 0; o < options.size(); ++o) {
+          const auto cycles = options[o].cycles;
+          if (cycles >= current) continue;
+          // k = |need|, need = the option's rotatable residual over target;
+          // under a limit, target + need must stay within it.
+          const auto row = lib.projection(si, o);
+          std::uint64_t k = 0;
+          bool within = true;
+          for (std::size_t i = 0; i < dim; ++i) {
+            const atom::Count need =
+                row[i] > target[i] ? row[i] - target[i] : 0;
+            k += need;
+            if (limit && target[i] + need > cap[i]) within = false;
+          }
+          if (k == 0) continue;  // already supported (cycles check caught it)
+          if (used + k > containers) continue;
+          if (!within) continue;
+          rec.candidates.push_back(ScanCandidate{
+              .demand = d,
+              .option = o,
+              .saved = current - cycles,
+              .current = current,
+              .k = k,
+          });
         }
       }
+      if (rec.candidates.size() == begin) break;
+      rec.steps.push_back({.begin = begin, .end = rec.candidates.size()});
     }
-    if (!best) break;
 
-    const auto row = lib.projection(best->si_index, best_option);
+    // The weight-dependent half: the best gain, first one on ties.
+    auto& step = rec.steps[s];
+    std::size_t best = step.end;
+    double best_gain = 0.0;
+    for (auto i = step.begin; i < step.end; ++i) {
+      const auto& c = rec.candidates[i];
+      const double gain = demands[c.demand].weight() *
+                          static_cast<double>(c.saved) /
+                          static_cast<double>(c.k);
+      if (best == step.end || gain > best_gain) {
+        best = i;
+        best_gain = gain;
+      }
+    }
+    const auto& win = rec.candidates[best];
+
+    if (s < kept && best == step.chosen) {  // same Atoms, new gain and task
+      auto& kept_step = plan.steps[s];
+      kept_step.gain_per_container = best_gain;
+      kept_step.task = demands[win.demand].task;
+      const auto additional = kept_step.additional.counts();
+      for (std::size_t i = 0; i < dim; ++i) target[i] += additional[i];
+      used += win.k;
+      continue;
+    }
+    if (s < kept) {
+      // The winner changed: later steps were scanned from a target that no
+      // longer holds.
+      rec.candidates.resize(step.end);
+      rec.steps.resize(s + 1);
+      plan.steps.resize(s);
+      kept = s + 1;
+      changed = true;
+    }
+    step.chosen = best;
+
+    const auto si = demands[win.demand].si_index;
+    const auto row = lib.projection(si, win.option);
     std::vector<atom::Count> additional(dim, 0);
     for (std::size_t i = 0; i < dim; ++i)
       if (row[i] > target[i]) {
@@ -70,17 +143,17 @@ SelectionPlan greedy_plan(const isa::SiLibrary& lib,
         target[i] = row[i];
         used += additional[i];
       }
-    out.steps.push_back(SelectionStep{
-        .si_index = best->si_index,
+    plan.steps.push_back(SelectionStep{
+        .si_index = si,
         .additional = atom::Molecule(std::move(additional)),
-        .old_cycles = best_current,
-        .new_cycles = lib.at(best->si_index).options()[best_option].cycles,
+        .old_cycles = win.current,
+        .new_cycles = win.current - win.saved,
         .gain_per_container = best_gain,
-        .task = best->task,
+        .task = demands[win.demand].task,
     });
   }
-  out.target = atom::Molecule(std::move(target));
-  return out;
+  if (changed) plan.target = atom::Molecule(target);
+  rec.valid = true;
 }
 
 namespace {
@@ -116,20 +189,20 @@ atom::Molecule exhaustive_target(const SelectionPolicy& policy,
 
 }  // namespace
 
-SelectionPlan GreedySelector::plan(const std::vector<ForecastDemand>& demands,
-                                   std::uint64_t containers) const {
-  return greedy_plan(library(), demands, containers, nullptr);
+void GreedySelector::replan(const std::vector<ForecastDemand>& demands,
+                            std::uint64_t containers,
+                            SelectionPlan& plan) const {
+  greedy_plan(library(), demands, containers, nullptr, plan);
 }
 
-SelectionPlan ExhaustiveSelector::plan(
-    const std::vector<ForecastDemand>& demands,
-    std::uint64_t containers) const {
+void ExhaustiveSelector::replan(const std::vector<ForecastDemand>& demands,
+                                std::uint64_t containers,
+                                SelectionPlan& plan) const {
   const auto target = exhaustive_target(*this, library(), demands, containers);
-  auto out = greedy_plan(library(), demands, containers, &target);
+  greedy_plan(library(), demands, containers, &target, plan);
   // Steps may not cover atoms that no SI benefits from incrementally; the
   // target still protects them from eviction, so report it as planned.
-  out.target = target;
-  return out;
+  plan.target = target;
 }
 
 }  // namespace rispp::rt

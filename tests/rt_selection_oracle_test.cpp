@@ -6,13 +6,16 @@
 /// double), the target, and the benefit. Libraries: the 200 generated
 /// genlib_fixture seeds plus h264 and h264_frame; per library, random
 /// demand sets (random SI subsets in random order, repeats, zero weights)
-/// over budgets 1..12.
+/// over budgets 1..12. Re-planning is checked the same way along random
+/// walks of demand sets, where one plan object is revalidated from call to
+/// call and must also equal a fresh plan, scan record included.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "genlib_fixture.hpp"
 #include "rispp/rt/selection.hpp"
@@ -50,6 +53,16 @@ void expect_same_plan(const SelectionPlan& got, const SelectionPlan& want) {
     EXPECT_EQ(g.task, w.task);
     EXPECT_EQ(g.gain_per_container, w.gain_per_container);
   }
+}
+
+/// greedy_plan into an empty plan.
+SelectionPlan fresh_greedy(const SiLibrary& lib,
+                           const std::vector<ForecastDemand>& demands,
+                           std::uint64_t containers,
+                           const Molecule* limit = nullptr) {
+  SelectionPlan plan;
+  rispp::rt::greedy_plan(lib, demands, containers, limit, plan);
+  return plan;
 }
 
 std::vector<ForecastDemand> random_demands(const SiLibrary& lib,
@@ -100,13 +113,12 @@ int check_library(const SiLibrary& lib, std::uint64_t seed,
     for (std::uint64_t budget = 1; budget <= kMaxBudget; ++budget) {
       SCOPED_TRACE("budget " + std::to_string(budget));
       const auto want = ref::greedy_plan(lib, demands, budget, nullptr);
-      expect_same_plan(rispp::rt::greedy_plan(lib, demands, budget), want);
+      expect_same_plan(fresh_greedy(lib, demands, budget), want);
       expect_same_plan(greedy.plan(demands, budget), want);
 
       const auto limit = random_molecule(lib, rng);
-      expect_same_plan(
-          rispp::rt::greedy_plan(lib, demands, budget, &limit),
-          ref::greedy_plan(lib, demands, budget, &limit));
+      expect_same_plan(fresh_greedy(lib, demands, budget, &limit),
+                       ref::greedy_plan(lib, demands, budget, &limit));
       if (small) {
         expect_same_plan(exhaustive.plan(demands, budget),
                          ref::exhaustive_plan(lib, demands, budget));
@@ -177,13 +189,204 @@ TEST(SelectionOracle, ProjectionTableMatchesCatalogProjection) {
   }
 }
 
+/// How often a walk re-planned with an unchanged key (the revalidation
+/// path), and how often such a re-plan still changed a winner (the path
+/// that truncates the record and scans on).
+struct WalkStats {
+  int same_key = 0;
+  int winner_changed = 0;
+  int exhaustive_replans = 0;
+};
+
+/// The inputs a plan's scan record is keyed on, computed independently.
+struct Key {
+  std::vector<std::size_t> sis;
+  std::uint64_t budget = 0;
+  std::optional<Molecule> limit;
+
+  bool operator==(const Key&) const = default;
+};
+
+Key key_of(const std::vector<ForecastDemand>& demands, std::uint64_t budget,
+           const std::optional<Molecule>& limit) {
+  Key key{.budget = budget, .limit = limit};
+  for (const auto& d : demands)
+    key.sis.push_back(d.weight() <= 0 ? ~std::size_t{0} : d.si_index);
+  return key;
+}
+
+bool same_winners(const SelectionPlan& a, const SelectionPlan& b) {
+  return std::equal(a.steps.begin(), a.steps.end(), b.steps.begin(),
+                    b.steps.end(), [](const auto& x, const auto& y) {
+                      return x.si_index == y.si_index &&
+                             x.additional == y.additional &&
+                             x.new_cycles == y.new_cycles;
+                    });
+}
+
+double random_weight(rispp::util::Xoshiro256& rng) {
+  return 1.0 + 500.0 * rng.uniform01();
+}
+
+/// One random step of the walk: mostly a weight change (the common
+/// re-plan), otherwise a key change — a weight set to 0 or back, an SI
+/// added or removed, a new AC budget, a limit added, changed or removed —
+/// or a new task or probability, or nothing at all.
+void mutate(const SiLibrary& lib, rispp::util::Xoshiro256& rng,
+            std::vector<ForecastDemand>& demands, std::uint64_t& budget,
+            std::optional<Molecule>& limit) {
+  auto& d = demands[rng.below(demands.size())];
+  switch (rng.below(12)) {
+    case 0:
+    case 1:
+    case 2:
+    case 3:
+      if (d.weight() > 0) d.expected_executions = random_weight(rng);
+      break;
+    case 4:
+      d.expected_executions = d.weight() > 0 ? 0.0 : random_weight(rng);
+      break;
+    case 5:
+      if (demands.size() > 1 && rng.below(2) == 0) {
+        demands.erase(demands.begin() +
+                      static_cast<std::ptrdiff_t>(rng.below(demands.size())));
+      } else {
+        auto extra = random_demands(lib, rng).front();
+        demands.insert(demands.begin() + static_cast<std::ptrdiff_t>(
+                                             rng.below(demands.size() + 1)),
+                       extra);
+      }
+      break;
+    case 6:
+      budget = 1 + rng.below(kMaxBudget);
+      break;
+    case 7:
+      if (limit && rng.below(2) == 0)
+        limit.reset();
+      else
+        limit = random_molecule(lib, rng);
+      break;
+    case 8:
+      d.task = static_cast<int>(rng.below(5)) - 1;
+      break;
+    case 9:
+      d.probability = 0.05 + 0.95 * rng.uniform01();
+      break;
+    default:
+      break;  // re-plan the same inputs
+  }
+}
+
+/// Walks `steps` random demand-set changes, re-planning one greedy plan
+/// object (with the walk's limit, if any) and one exhaustive one (while
+/// the instance is small enough to enumerate). After every re-plan the
+/// plan must equal the reference and a fresh plan on every field.
+WalkStats walk_library(const SiLibrary& lib, std::uint64_t seed, int steps) {
+  WalkStats stats;
+  rispp::util::Xoshiro256 rng(seed);
+  const ExhaustiveSelector exhaustive(lib);
+  auto demands = random_demands(lib, rng);
+  std::uint64_t budget = 1 + rng.below(kMaxBudget);
+  std::optional<Molecule> limit;
+  SelectionPlan plan;
+  SelectionPlan exhaustive_plan;
+  std::optional<Key> last_key;
+  for (int step = 0; step < steps; ++step) {
+    SCOPED_TRACE("walk step " + std::to_string(step));
+    mutate(lib, rng, demands, budget, limit);
+    const Molecule* cap = limit ? &*limit : nullptr;
+
+    const SelectionPlan before = plan;
+    rispp::rt::greedy_plan(lib, demands, budget, cap, plan);
+    const auto fresh = fresh_greedy(lib, demands, budget, cap);
+    expect_same_plan(plan, ref::greedy_plan(lib, demands, budget, cap));
+    expect_same_plan(plan, fresh);
+    EXPECT_TRUE(plan.scan == fresh.scan);
+
+    const auto key = key_of(demands, budget, limit);
+    if (last_key == key) {
+      ++stats.same_key;
+      if (!same_winners(before, plan)) ++stats.winner_changed;
+    }
+    last_key = key;
+
+    if (exhaustive_leaves(lib, demands) <= kMaxExhaustiveLeaves) {
+      exhaustive.replan(demands, budget, exhaustive_plan);
+      const auto exhaustive_fresh = exhaustive.plan(demands, budget);
+      expect_same_plan(exhaustive_plan,
+                       ref::exhaustive_plan(lib, demands, budget));
+      expect_same_plan(exhaustive_plan, exhaustive_fresh);
+      EXPECT_TRUE(exhaustive_plan.scan == exhaustive_fresh.scan);
+      ++stats.exhaustive_replans;
+    }
+    if (::testing::Test::HasFailure()) return stats;
+  }
+  return stats;
+}
+
+TEST(SelectionOracle, ReplanMatchesFreshAndReferenceOnEveryGeneratedLibrary) {
+  WalkStats total;
+  for (std::uint64_t seed = kSeedBegin; seed < kSeedEnd; ++seed) {
+    SCOPED_TRACE("genlib seed " + std::to_string(seed));
+    const auto stats =
+        walk_library(genlib_fixture::generated_library(seed), seed, 60);
+    if (HasFailure()) return;
+    total.same_key += stats.same_key;
+    total.winner_changed += stats.winner_changed;
+    total.exhaustive_replans += stats.exhaustive_replans;
+  }
+  // Both revalidation outcomes and the exhaustive path were exercised.
+  EXPECT_GT(total.same_key, 6000);
+  EXPECT_GT(total.winner_changed, 150);
+  EXPECT_GT(total.exhaustive_replans, 5000);
+}
+
+TEST(SelectionOracle, ReplanMatchesFreshAndReferenceOnH264) {
+  const auto stats = walk_library(SiLibrary::h264(), 13, 1200);
+  EXPECT_GT(stats.same_key, 500);
+  EXPECT_GT(stats.winner_changed, 15);
+  EXPECT_GT(stats.exhaustive_replans, 300);
+}
+
+TEST(SelectionOracle, ReplanMatchesFreshAndReferenceOnH264Frame) {
+  const auto stats = walk_library(SiLibrary::h264_frame(), 17, 600);
+  EXPECT_GT(stats.same_key, 250);
+  EXPECT_GT(stats.winner_changed, 15);
+  EXPECT_GT(stats.exhaustive_replans, 100);
+}
+
+/// Two candidates of the first step tie bit for bit: HT_2x2 saves 55 cycles
+/// for one container at weight 138, HT_4x4 276 cycles for two at weight
+/// 55, both 7590 per container. The first in scan order wins; one weight
+/// change later the other does, and the re-plan must notice.
+TEST(SelectionOracle, ReplanFollowsATieBrokenTheOtherWay) {
+  const auto lib = SiLibrary::h264();
+  const auto ht2 = lib.index_of("HT_2x2");
+  const auto ht4 = lib.index_of("HT_4x4");
+  std::vector<ForecastDemand> demands{
+      {.si_index = ht2, .expected_executions = 138.0, .task = 1},
+      {.si_index = ht4, .expected_executions = 55.0, .task = 2}};
+  SelectionPlan plan;
+  for (const double w : {55.0, 56.0, 55.0}) {
+    SCOPED_TRACE("HT_4x4 weight " + std::to_string(w));
+    demands[1].expected_executions = w;
+    rispp::rt::greedy_plan(lib, demands, 2, nullptr, plan);
+    expect_same_plan(plan, ref::greedy_plan(lib, demands, 2, nullptr));
+    expect_same_plan(plan, fresh_greedy(lib, demands, 2));
+    ASSERT_FALSE(plan.steps.empty());
+    EXPECT_EQ(plan.steps.front().si_index, w == 55.0 ? ht2 : ht4);
+  }
+  EXPECT_EQ(plan.steps.front().gain_per_container, 7590.0);
+  EXPECT_EQ(plan.steps.size(), 2u);  // HT_4x4 then needs one Pack more
+}
+
 TEST(SelectionOracle, EmptyAndZeroWeightDemandsPlanNothing) {
   const auto lib = SiLibrary::h264();
   const std::vector<ForecastDemand> none;
   const std::vector<ForecastDemand> zero{{.si_index = 1,
                                           .expected_executions = 0.0}};
   for (const auto* demands : {&none, &zero}) {
-    const auto plan = rispp::rt::greedy_plan(lib, *demands, 8);
+    const auto plan = fresh_greedy(lib, *demands, 8);
     EXPECT_TRUE(plan.steps.empty());
     EXPECT_EQ(plan.target, lib.catalog().zero());
     expect_same_plan(plan, ref::greedy_plan(lib, *demands, 8, nullptr));
