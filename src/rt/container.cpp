@@ -174,10 +174,10 @@ std::optional<Cycle> ContainerFile::next_unblock_after(Cycle t) const {
 
 std::optional<unsigned> ContainerFile::choose_victim(
     const atom::Molecule& target, Cycle now, ReplacementPolicy& policy) const {
-  RISPP_REQUIRE(target.dimension() == committed_.dimension(),
-                "victim target dimension does not match the catalog");
   for (const auto& c : containers_)
     if (!c.atom && !c.loading && !c.blocked(now)) return c.id;
+  RISPP_REQUIRE(target.dimension() == committed_.dimension(),
+                "victim target dimension does not match the catalog");
   // A container is expendable when its kind's committed count exceeds the
   // target's demand for that kind (needed atoms are never evicted). The
   // policy sees the expendable ones in container-id order.

@@ -9,6 +9,12 @@ namespace rispp::rt {
 
 namespace {
 
+/// A demand's entry in the scan key: its SI, or kOff when a weight ≤ 0
+/// leaves it no candidate.
+std::size_t key_si(const ForecastDemand& d) {
+  return d.weight() <= 0 ? ScanRecord::kOff : d.si_index;
+}
+
 bool same_key(const ScanRecord& rec, const std::vector<ForecastDemand>& demands,
               std::uint64_t containers, std::span<const atom::Count> cap) {
   if (!rec.valid || rec.containers != containers ||
@@ -16,17 +22,14 @@ bool same_key(const ScanRecord& rec, const std::vector<ForecastDemand>& demands,
       !std::equal(cap.begin(), cap.end(), rec.limit.begin(), rec.limit.end()))
     return false;
   for (std::size_t d = 0; d < demands.size(); ++d)
-    if (rec.sis[d] != (demands[d].weight() <= 0 ? ScanRecord::kOff
-                                                 : demands[d].si_index))
-      return false;
+    if (rec.sis[d] != key_si(demands[d])) return false;
   return true;
 }
 
 void rekey(ScanRecord& rec, const std::vector<ForecastDemand>& demands,
            std::uint64_t containers, std::span<const atom::Count> cap) {
   rec.sis.clear();
-  for (const auto& d : demands)
-    rec.sis.push_back(d.weight() <= 0 ? ScanRecord::kOff : d.si_index);
+  for (const auto& d : demands) rec.sis.push_back(key_si(d));
   rec.containers = containers;
   rec.limit.assign(cap.begin(), cap.end());
   rec.steps.clear();
@@ -64,8 +67,8 @@ void greedy_plan(const isa::SiLibrary& lib,
     if (s >= kept) {
       const auto begin = rec.candidates.size();
       for (std::size_t d = 0; d < demands.size(); ++d) {
-        if (demands[d].weight() <= 0) continue;
-        const auto si = demands[d].si_index;
+        const auto si = rec.sis[d];
+        if (si == ScanRecord::kOff) continue;
         const auto& options = lib.at(si).options();
         const auto current = lib.cycles_on(si, target);
         for (std::size_t o = 0; o < options.size(); ++o) {
