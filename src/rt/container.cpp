@@ -8,7 +8,10 @@
 namespace rispp::rt {
 
 ContainerFile::ContainerFile(unsigned count, const isa::AtomCatalog& catalog)
-    : catalog_(&catalog), committed_(catalog.size()), usable_(catalog.size()) {
+    : catalog_(&catalog),
+      committed_(catalog.size()),
+      usable_(catalog.size()),
+      lru_(catalog.size()) {
   RISPP_REQUIRE(count > 0, "need at least one atom container");
   containers_.resize(count);
   for (unsigned i = 0; i < count; ++i) containers_[i].id = i;
@@ -26,11 +29,10 @@ unsigned ContainerFile::usable_count() const {
   return n;
 }
 
-void ContainerFile::refresh(Cycle now) {
+void ContainerFile::promote(Cycle now) {
   // Promotion keeps the container's committed kind, so committed_ is
   // unaffected here. Failed loads never reach this point: the kernel
   // retires them through on_rotation_failed before refreshing.
-  if (loading_count_ == 0) return;  // steady state: nothing to promote
   for (auto& c : containers_) {
     if (c.loading && now >= c.ready_at) {
       c.atom = c.loading;
@@ -39,6 +41,14 @@ void ContainerFile::refresh(Cycle now) {
       usable_.set(*c.atom, usable_[*c.atom] + 1);
       ++usable_generation_;
       --loading_count_;
+      // The container keeps the stamp of its previous content, so it joins
+      // its kind's LRU order at that stamp's place.
+      auto& order = lru_[*c.atom];
+      order.insert(std::lower_bound(order.begin(), order.end(), c.id,
+                                    [this](unsigned a, unsigned b) {
+                                      return lru_before(a, b);
+                                    }),
+                   c.id);
     }
   }
 }
@@ -72,6 +82,8 @@ void ContainerFile::start_rotation(unsigned c, std::size_t atom_kind,
   if (ac.atom) {
     usable_.set(*ac.atom, usable_[*ac.atom] - 1);
     ++usable_generation_;
+    auto& order = lru_[*ac.atom];
+    order.erase(std::find(order.begin(), order.end(), c));
   }
   if (!ac.loading) ++loading_count_;
   // The old content becomes unusable the moment reconfiguration begins.
@@ -126,32 +138,24 @@ bool ContainerFile::on_rotation_failed(unsigned c, std::size_t atom_kind,
 }
 
 void ContainerFile::touch(std::span<const atom::Count> used, Cycle now) {
-  // Mark one container per required atom instance as used, visiting
-  // containers least-recently-used first (ties towards the lowest id) so
-  // repeated touches of a partially-used kind cycle through its instances
-  // and keep the timestamps coherent instead of re-marking the same ids.
-  // Runs once per SI execution: the order/remaining scratch is reused
-  // across calls, and the order comes from a stable insertion sort over
-  // the few loaded containers (std::stable_sort allocates a buffer per
-  // call), so the hot path makes no allocations.
-  auto& order = touch_order_;
-  order.clear();
-  for (const auto& c : containers_) {
-    if (!c.atom || c.loading) continue;
-    auto pos = order.end();
-    while (pos != order.begin() &&
-           containers_[*(pos - 1)].last_used > c.last_used)
-      --pos;
-    order.insert(pos, c.id);
-  }
-
-  auto& remaining = touch_remaining_;
-  remaining.assign(used.begin(), used.end());
-  for (const auto id : order) {
-    auto& c = containers_[id];
-    if (remaining[*c.atom] > 0) {
-      --remaining[*c.atom];
-      c.last_used = now;
+  // Runs once per SI execution. Each kind's list is already in LRU order
+  // (last_used, then id), so marking one container per required instance
+  // stamps a prefix, and repeated touches of a partially-used kind cycle
+  // through its instances. One insertion pass restores the order: the
+  // unstamped entries are still sorted, so only the stamped ones move —
+  // behind the entries stamped earlier, merged by id with any stamped at
+  // `now` already.
+  for (std::size_t kind = 0; kind < lru_.size(); ++kind) {
+    if (used[kind] == 0) continue;
+    auto& order = lru_[kind];
+    const auto n = std::min<std::size_t>(used[kind], order.size());
+    for (std::size_t i = 0; i < n; ++i) containers_[order[i]].last_used = now;
+    for (std::size_t i = 1; i < order.size(); ++i) {
+      const auto id = order[i];
+      auto j = i;
+      for (; j > 0 && lru_before(id, order[j - 1]); --j)
+        order[j] = order[j - 1];
+      order[j] = id;
     }
   }
 }

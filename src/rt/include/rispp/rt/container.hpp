@@ -79,8 +79,11 @@ class ContainerFile {
   /// Promote finished rotations (loading → atom). Must be called with a
   /// monotonically non-decreasing `now`. Failed rotations must be retired
   /// via on_rotation_failed *before* the refresh that would promote them.
-  /// O(1) when no rotation is in flight (the steady-state execute path).
-  void refresh(Cycle now);
+  /// One inlined compare when no rotation is in flight (the steady-state
+  /// execute path).
+  void refresh(Cycle now) {
+    if (loading_count_ != 0) promote(now);
+  }
 
   /// Atom instances usable *right now* (completed, not being overwritten).
   atom::Molecule available_atoms(Cycle now) const;
@@ -132,7 +135,9 @@ class ContainerFile {
 
   /// Record an SI execution touching the given atom kinds (LRU update):
   /// `used` holds one count per catalog Atom, e.g. a row of
-  /// isa::SiLibrary::projection.
+  /// isa::SiLibrary::projection. Per kind k, the `used[k]` least recently
+  /// used containers holding k (ties towards the lowest id) are stamped
+  /// `now`; the cost is one pass over each used kind's instances.
   void touch(std::span<const atom::Count> used, Cycle now);
 
   /// True when some container's backoff window ended in (after, upto] — the
@@ -162,13 +167,26 @@ class ContainerFile {
   std::uint64_t usable_generation_ = 0;
   std::uint64_t loaded_slices_ = 0;  ///< incremental loaded_slices() view
   unsigned loading_count_ = 0;       ///< containers with a transfer in flight
-  /// Scratch buffers reused by touch() so the per-execution LRU update makes
-  /// no allocations, and by choose_victim() for the expendable containers
-  /// (a ContainerFile was never shareable across threads — one manager owns
-  /// one file — so plain members are fine).
-  mutable std::vector<unsigned> touch_order_;
-  mutable std::vector<atom::Count> touch_remaining_;
+  /// touch()'s LRU order: per Atom kind, the ids of the usable containers
+  /// holding it (loaded, no transfer in flight), ordered by (last_used,
+  /// id). promote() inserts a container at its place, start_rotation()
+  /// removes it, touch() re-orders only the entries it stamps.
+  /// rt_container_oracle_test checks it against a per-call sort
+  /// (tests/container_reference.hpp).
+  std::vector<std::vector<unsigned>> lru_;
+  /// Scratch reused by choose_victim() for the expendable containers (a
+  /// ContainerFile was never shareable across threads — one manager owns
+  /// one file — so a plain member is fine).
   mutable std::vector<VictimCandidate> victim_candidates_;
+
+  /// refresh()'s slow path: promote every finished transfer.
+  void promote(Cycle now);
+  /// True when container `a` precedes `b` in LRU order.
+  bool lru_before(unsigned a, unsigned b) const {
+    const auto x = containers_[a].last_used;
+    const auto y = containers_[b].last_used;
+    return x != y ? x < y : a < b;
+  }
 };
 
 }  // namespace rispp::rt

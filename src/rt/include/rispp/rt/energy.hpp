@@ -32,10 +32,16 @@ class EnergyMeter {
   EnergyMeter(PowerModel model, double clock_mhz)
       : model_(model), clock_mhz_(clock_mhz) {}
 
-  void add_execution(std::uint32_t cycles, bool hardware) {
+  /// Energy of one execution in nJ. A pure function of the model, so a
+  /// caller may compute it once per (cycles, hardware) and add the same
+  /// double per execution: the total is bit for bit the per-call sum.
+  double execution_cost_nj(std::uint32_t cycles, bool hardware) const {
     const double us = cycles / clock_mhz_;
-    exec_nj_ += us * (hardware ? model_.hw_mw : model_.core_mw);
+    return us * (hardware ? model_.hw_mw : model_.core_mw);
   }
+
+  /// Adds one execution's execution_cost_nj().
+  void add_execution_nj(double nj) { exec_nj_ += nj; }
 
   void add_rotation(std::uint64_t duration_cycles) {
     rotation_nj_ += duration_cycles / clock_mhz_ * model_.reconfig_mw;

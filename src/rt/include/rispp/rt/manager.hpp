@@ -291,6 +291,9 @@ class RisppManager {
     std::uint64_t generation = ~std::uint64_t{0};  ///< none memoized yet
     /// SiLibrary::fastest_option's answer at that generation.
     std::size_t option = isa::SiLibrary::kSoftware;
+    /// EnergyMeter::execution_cost_nj of that option, so an execution adds
+    /// the meter's own double instead of recomputing it.
+    double energy_nj = 0;
   };
   std::vector<ExecMemo> exec_memo_;  ///< by SI index
 

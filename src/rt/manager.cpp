@@ -337,27 +337,30 @@ RisppManager::ExecResult RisppManager::execute(std::size_t si, Cycle now,
   // Fastest-supported lookup, allocation-free: right after refresh(now) the
   // incremental usable_atoms() view equals available_atoms(now), the
   // options' rotatable projections are the library's table, and the winner
-  // is memoized on the usable-atom generation — between rotations the scan
-  // reduces to one integer compare.
+  // is memoized on the usable-atom generation with its energy increment —
+  // between rotations the scan reduces to one integer compare.
   const auto& instr = lib_->at(si);
   auto& memo = exec_memo_[si];
   const auto generation = containers_.usable_generation();
   if (memo.generation != generation) {
     memo.option =
         lib_->fastest_option(si, containers_.usable_atoms().counts());
+    const bool hw = memo.option != isa::SiLibrary::kSoftware;
+    memo.energy_nj = energy_.execution_cost_nj(
+        hw ? instr.options()[memo.option].cycles : instr.software_cycles(),
+        hw);
     memo.generation = generation;
   }
 
   ExecResult res;
+  energy_.add_execution_nj(memo.energy_nj);
   if (memo.option != isa::SiLibrary::kSoftware) {
     const auto& chosen = instr.options()[memo.option];
     res = {chosen.cycles, true, &chosen};
-    energy_.add_execution(chosen.cycles, true);
     containers_.touch(lib_->projection(si, memo.option), now);
     counters_.bump(Counter::SiExecHw);
   } else {
     res = {instr.software_cycles(), false, nullptr};
-    energy_.add_execution(instr.software_cycles(), false);
     counters_.bump(Counter::SiExecSw);
   }
   if (batch_.enabled()) {

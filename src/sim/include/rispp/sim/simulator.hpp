@@ -87,9 +87,11 @@ struct TimelineEntry {
 
 struct SimResult {
   rt::Cycle total_cycles = 0;
-  std::map<std::string, rt::Cycle> task_cycles;  ///< busy cycles per task
-  std::map<std::string, SiStats> per_si;          ///< keyed by SI name
-  std::vector<TimelineEntry> timeline;            ///< Label ops
+  /// Busy cycles per task, indexed by task id (add_task order) — tasks may
+  /// share a name, so the name is no key.
+  std::vector<rt::Cycle> task_cycles;
+  std::map<std::string, SiStats> per_si;  ///< keyed by SI name
+  std::vector<TimelineEntry> timeline;    ///< Label ops
   std::uint64_t rotations = 0;
   /// Energy spent (nJ): execution, rotation, loaded-atom leakage.
   double energy_execution_nj = 0;

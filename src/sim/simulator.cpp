@@ -213,7 +213,8 @@ SimResult Simulator::run() {
   }
 
   result.total_cycles = now_;
-  for (const auto& t : tasks_) result.task_cycles[t.def.name] = t.busy;
+  result.task_cycles.reserve(tasks_.size());
+  for (const auto& t : tasks_) result.task_cycles.push_back(t.busy);
   for (std::size_t i = 0; i < si_stats.size(); ++i)
     if (si_stats[i].invocations > 0)
       result.per_si[lib_->at(i).name()] = si_stats[i];

@@ -68,11 +68,15 @@ TEST_P(LatticeAxioms, AbsorptionLaws) {
 TEST_P(LatticeAxioms, OrderReflexive) { EXPECT_TRUE(a_.leq(a_)); }
 
 TEST_P(LatticeAxioms, OrderAntisymmetric) {
-  if (a_.leq(b_) && b_.leq(a_)) EXPECT_EQ(a_, b_);
+  if (a_.leq(b_) && b_.leq(a_)) {
+    EXPECT_EQ(a_, b_);
+  }
 }
 
 TEST_P(LatticeAxioms, OrderTransitive) {
-  if (a_.leq(b_) && b_.leq(c_)) EXPECT_TRUE(a_.leq(c_));
+  if (a_.leq(b_) && b_.leq(c_)) {
+    EXPECT_TRUE(a_.leq(c_));
+  }
 }
 
 TEST_P(LatticeAxioms, UniteIsLeastUpperBound) {
@@ -105,7 +109,9 @@ TEST_P(LatticeAxioms, ResidualZeroIffSupported) {
 }
 
 TEST_P(LatticeAxioms, DeterminantMonotone) {
-  if (a_.leq(b_)) EXPECT_LE(a_.determinant(), b_.determinant());
+  if (a_.leq(b_)) {
+    EXPECT_LE(a_.determinant(), b_.determinant());
+  }
 }
 
 TEST_P(LatticeAxioms, DeterminantSubAdditiveOverUnion) {
@@ -159,8 +165,12 @@ TEST_P(GeneratedLatticeAxioms, AbsorptionLaws) {
 
 TEST_P(GeneratedLatticeAxioms, OrderPartialOrderLaws) {
   EXPECT_TRUE(a_.leq(a_));
-  if (a_.leq(b_) && b_.leq(a_)) EXPECT_EQ(a_, b_);
-  if (a_.leq(b_) && b_.leq(c_)) EXPECT_TRUE(a_.leq(c_));
+  if (a_.leq(b_) && b_.leq(a_)) {
+    EXPECT_EQ(a_, b_);
+  }
+  if (a_.leq(b_) && b_.leq(c_)) {
+    EXPECT_TRUE(a_.leq(c_));
+  }
 }
 
 TEST_P(GeneratedLatticeAxioms, UniteIsLeastUpperBound) {
@@ -177,7 +187,9 @@ TEST_P(GeneratedLatticeAxioms, ResidualReconstructsUnion) {
 }
 
 TEST_P(GeneratedLatticeAxioms, DeterminantMonotone) {
-  if (a_.leq(b_)) EXPECT_LE(a_.determinant(), b_.determinant());
+  if (a_.leq(b_)) {
+    EXPECT_LE(a_.determinant(), b_.determinant());
+  }
 }
 
 TEST_P(GeneratedLatticeAxioms, RepresentativeBoundedByExtremes) {

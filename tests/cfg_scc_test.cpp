@@ -64,7 +64,9 @@ TEST(Tarjan, ComponentIdsAreReverseTopological) {
   for (const auto& e : g.edges()) {
     const auto cf = scc.component_of[e.from];
     const auto ct = scc.component_of[e.to];
-    if (cf != ct) EXPECT_GT(cf, ct);
+    if (cf != ct) {
+      EXPECT_GT(cf, ct);
+    }
   }
 }
 
@@ -123,7 +125,9 @@ TEST(Tarjan, RandomGraphsPartitionAndOrder) {
     for (const auto& e : g.edges()) {
       const auto cf = scc.component_of[e.from];
       const auto ct = scc.component_of[e.to];
-      if (cf != ct) EXPECT_GT(cf, ct);
+      if (cf != ct) {
+        EXPECT_GT(cf, ct);
+      }
     }
   }
 }

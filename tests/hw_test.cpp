@@ -19,8 +19,11 @@ TEST(AtomHw, Table1Contents) {
   EXPECT_EQ(transform.bitstream_bytes, 59353u);
   const auto& pack = find_atom(atoms, "Pack");
   // Pack's AC covers a BlockRAM row → clearly the biggest bitstream.
-  for (const auto& a : atoms)
-    if (a.name != "Pack") EXPECT_GT(pack.bitstream_bytes, a.bitstream_bytes);
+  for (const auto& a : atoms) {
+    if (a.name != "Pack") {
+      EXPECT_GT(pack.bitstream_bytes, a.bitstream_bytes);
+    }
+  }
 }
 
 TEST(AtomHw, Table1Utilization) {

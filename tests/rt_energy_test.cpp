@@ -16,9 +16,12 @@ TEST(EnergyMeter, ExecutionEnergy) {
   pm.core_mw = 200;
   pm.hw_mw = 260;
   EnergyMeter m(pm, /*clock_mhz=*/100.0);
-  m.add_execution(1000, /*hardware=*/false);  // 10 µs at 200 mW = 2000 nJ
+  // 10 µs at 200 mW = 2000 nJ
+  EXPECT_DOUBLE_EQ(m.execution_cost_nj(1000, /*hardware=*/false), 2000.0);
+  m.add_execution_nj(m.execution_cost_nj(1000, /*hardware=*/false));
   EXPECT_DOUBLE_EQ(m.execution_nj(), 2000.0);
-  m.add_execution(1000, /*hardware=*/true);  // + 10 µs at 260 mW
+  // + 10 µs at 260 mW
+  m.add_execution_nj(m.execution_cost_nj(1000, /*hardware=*/true));
   EXPECT_DOUBLE_EQ(m.execution_nj(), 2000.0 + 2600.0);
 }
 
@@ -45,7 +48,7 @@ TEST(EnergyMeter, LeakageIntegratesOverTime) {
 
 TEST(EnergyMeter, TotalSumsComponents) {
   EnergyMeter m(PowerModel{}, 100.0);
-  m.add_execution(100, true);
+  m.add_execution_nj(m.execution_cost_nj(100, true));
   m.add_rotation(100);
   m.advance_leakage(0, 0);
   m.advance_leakage(1000, 1000);

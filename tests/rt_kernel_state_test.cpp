@@ -1,10 +1,12 @@
 /// Differentials for the run-time manager's maintained state: the per-SI
-/// demand list that forecast()/forecast_release() keep up to date, and the
-/// monitoring that reads a per-SI execution counter at each release. A
-/// naive model in this file keeps every window with its own execution count
-/// (bumped on each execution of its SI) and rebuilds the aggregated demands
-/// from scratch after every call; the manager must match it exactly, doubles
-/// compared with ==. Also: the kernel counters' name table.
+/// demand list that forecast()/forecast_release() keep up to date, the
+/// monitoring that reads a per-SI execution counter at each release, and
+/// the execution energy that execute() adds from its memo. A naive model in
+/// this file keeps every window with its own execution count (bumped on
+/// each execution of its SI), rebuilds the aggregated demands from scratch
+/// after every call and sums each answered execution's energy afresh; the
+/// manager must match it exactly, doubles compared with ==. Also: the
+/// kernel counters' name table.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 namespace {
 
 using namespace rispp::rt;
+using rispp::hw::FaultModel;
 using rispp::isa::SiLibrary;
 
 /// The monitoring and aggregation semantics, computed the slow way.
@@ -46,10 +49,17 @@ class Model {
     windows_.erase(it);
   }
 
-  void execute(std::size_t si) {
+  /// One answered execution of `si`: it counts against the SI's windows
+  /// and adds cycles / clock × power, summed in call order.
+  void execute(std::size_t si, const RisppManager::ExecResult& res,
+               const RtConfig& cfg) {
     for (auto& [key, w] : windows_)
       if (key.first == si) ++w.observed;
+    exec_nj_ += res.cycles / cfg.clock_mhz *
+                (res.hardware ? cfg.power.hw_mw : cfg.power.core_mw);
   }
+
+  double execution_nj() const { return exec_nj_; }
 
   /// Per-SI aggregation over every window: weights summed in ascending
   /// task order, the task going to a window heavier than the running sum.
@@ -90,6 +100,7 @@ class Model {
   double rate_;
   std::map<std::pair<std::size_t, int>, Window> windows_;
   std::map<std::size_t, double> learned_;
+  double exec_nj_ = 0;
 };
 
 void expect_matches(const RisppManager& mgr, const Model& model,
@@ -105,15 +116,29 @@ void expect_matches(const RisppManager& mgr, const Model& model,
   }
   for (std::size_t si = 0; si < sis; ++si)
     EXPECT_EQ(mgr.learned_expectation(si), model.learned(si)) << "SI " << si;
+  EXPECT_EQ(mgr.energy().execution_nj(), model.execution_nj());
 }
+
+/// Executions whose call changed the platform first: promoted a finished
+/// load, retired a failed one, or quarantined a container.
+struct ExecCoverage {
+  int after_promotion = 0;
+  int after_failure = 0;
+  int after_quarantine = 0;
+};
 
 /// Random multi-task forecast / execute / release sequences, checked after
 /// every call. Each sequence includes a re-forecast of a live window and a
 /// release of a window that was never opened.
-void run_sequence(const SiLibrary& lib, std::uint64_t seed, double rate) {
+ExecCoverage run_sequence(const SiLibrary& lib, std::uint64_t seed,
+                          double rate,
+                          const FaultModel& faults = FaultModel::none()) {
   RtConfig cfg;
   cfg.atom_containers = 4;
   cfg.learning_rate = rate;
+  cfg.faults = faults;
+  cfg.max_rotation_retries = 1;  // a second failure in a row quarantines
+  ExecCoverage cov;
   RisppManager mgr(borrow(lib), cfg);
   Model model(rate);
   rispp::util::Xoshiro256 rng(seed);
@@ -143,11 +168,18 @@ void run_sequence(const SiLibrary& lib, std::uint64_t seed, double rate) {
       mgr.forecast_release(si, now, task);
       model.release(si, task);
     } else {
-      mgr.execute(si, now, task);
-      model.execute(si);
+      const auto usable = mgr.containers().usable_atoms().determinant();
+      const auto failed = mgr.counters().get("rotations_failed");
+      const auto quarantined = mgr.counters().get("acs_quarantined");
+      model.execute(si, mgr.execute(si, now, task), cfg);
+      cov.after_promotion +=
+          mgr.containers().usable_atoms().determinant() > usable;
+      cov.after_failure += mgr.counters().get("rotations_failed") > failed;
+      cov.after_quarantine +=
+          mgr.counters().get("acs_quarantined") > quarantined;
     }
     expect_matches(mgr, model, sis);
-    if (::testing::Test::HasFailure()) return;
+    if (::testing::Test::HasFailure()) return cov;
   }
   EXPECT_TRUE(reforecast_live) << "sequence never re-forecast a live window";
 
@@ -158,6 +190,7 @@ void run_sequence(const SiLibrary& lib, std::uint64_t seed, double rate) {
   model.release(0, 1000);
   EXPECT_EQ(mgr.active_demands().size(), before.size());
   expect_matches(mgr, model, sis);
+  return cov;
 }
 
 TEST(KernelState, DemandsAndLearningMatchRebuildOnH264) {
@@ -172,6 +205,25 @@ TEST(KernelState, DemandsAndLearningMatchRebuildOnGeneratedLibraries) {
     SCOPED_TRACE("genlib seed " + std::to_string(seed));
     run_sequence(genlib_fixture::generated_library(seed), seed, 0.3);
   }
+}
+
+TEST(KernelState, ExecutionEnergyMatchesPerCallSumAcrossRotationFaults) {
+  // Failed and poisoned loads retire on the next execute, and with one
+  // retry a container's second consecutive failure quarantines it; every
+  // answered execution's energy must still sum bit for bit.
+  ExecCoverage total;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const auto cov = run_sequence(SiLibrary::h264(), seed, 0.5,
+                                  FaultModel::probabilistic(seed, 0.3, 0.1));
+    if (HasFailure()) return;
+    total.after_promotion += cov.after_promotion;
+    total.after_failure += cov.after_failure;
+    total.after_quarantine += cov.after_quarantine;
+  }
+  EXPECT_GT(total.after_promotion, 0);
+  EXPECT_GT(total.after_failure, 0);
+  EXPECT_GT(total.after_quarantine, 0);
 }
 
 TEST(KernelState, ExecutionsBeforeAForecastDoNotCount) {

@@ -113,7 +113,9 @@ TEST_F(Selection, GreedyNearOptimalVsExhaustive) {
       const double g = sel_.benefit(greedy.target, demands);
       const double b = sel_.benefit(best.target, demands);
       EXPECT_GE(g, 0.99 * b) << "budget " << budget;
-      if (budget == 4) EXPECT_GE(g + 1e-9, b);
+      if (budget == 4) {
+        EXPECT_GE(g + 1e-9, b);
+      }
     }
   }
 }

@@ -164,7 +164,7 @@ TEST(SimStress, RandomTracesAreDeterministicAndConserveWork) {
     EXPECT_EQ(a.rotations, b.rotations) << "seed " << seed;
 
     std::uint64_t busy = 0;
-    for (const auto& [name, cycles] : a.task_cycles) busy += cycles;
+    for (const auto cycles : a.task_cycles) busy += cycles;
     EXPECT_EQ(busy, a.total_cycles) << "seed " << seed;
 
     for (const auto& [name, st] : a.per_si)

@@ -74,7 +74,9 @@ TEST(ChooserProperty, ZipfianPreservesFrequencyRanking) {
     EXPECT_GT(counts[0], 2 * counts[n - 1]) << "theta " << theta;
     // Rank 0's share grows with skew: at theta=0.99 it must clearly beat
     // the uniform share.
-    if (theta == 0.99) EXPECT_GT(counts[0], samples / n * 3);
+    if (theta == 0.99) {
+      EXPECT_GT(counts[0], samples / n * 3);
+    }
   }
 }
 
