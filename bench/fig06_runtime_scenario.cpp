@@ -121,7 +121,7 @@ int main(int argc, char** argv) try {
     std::cout << "Trace (" << recorder.events().size() << " events) written to "
               << *trace_out
               << " — open .json output in chrome://tracing or Perfetto,\n"
-                 "or summarize .csv output with tools/trace_summary.\n";
+                 "or profile .csv output with tools/rispp_report.\n";
   }
   if (report_out) {
     rispp::obs::write_report_file(*report_out, profiler.finalize("fig06"));

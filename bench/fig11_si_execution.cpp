@@ -10,7 +10,6 @@
 #include "rispp/isa/si_library.hpp"
 #include "rispp/obs/profiler.hpp"
 #include "rispp/obs/report.hpp"
-#include "rispp/obs/summary.hpp"
 #include "rispp/obs/trace_export.hpp"
 #include "rispp/sim/observe.hpp"
 #include "rispp/sim/simulator.hpp"
@@ -89,33 +88,29 @@ int main(int argc, char** argv) try {
       ->add_to(sim);
   sim.run();
 
-  const auto summary = rispp::obs::summarize(recorder.events());
+  const auto meta = make_trace_meta(lib, cfg, std::move(task_names));
+  const auto report =
+      rispp::obs::Profiler::profile(recorder.events(), meta, "fig11");
   TextTable dyn{"SI", "invocations", "hw", "sw", "mean cycles", "upgrades",
                 "forecast→upgrade [cycles]"};
   dyn.set_title("Simulated upgrade staircase (shared 6-AC budget)");
-  for (const auto& [si, st] : summary.per_si)
-    dyn.add_row({lib.at(static_cast<std::size_t>(si)).name(),
-                 std::to_string(st.invocations),
-                 std::to_string(st.hw_invocations),
-                 std::to_string(st.sw_invocations),
-                 TextTable::num(st.latency.mean(), 1),
-                 std::to_string(st.upgrades),
-                 st.upgrade_gap.count()
+  for (const auto& s : report.sis)
+    dyn.add_row({s.name, std::to_string(s.all.count),
+                 std::to_string(s.hw.count), std::to_string(s.sw.count),
+                 TextTable::num(s.all.mean, 1), std::to_string(s.upgrades),
+                 s.upgrade_gap.count
                      ? TextTable::grouped(
-                           static_cast<long long>(st.upgrade_gap.mean()))
+                           static_cast<long long>(s.upgrade_gap.mean))
                      : "-"});
   std::cout << "\n" << dyn.str();
 
-  const auto meta = make_trace_meta(lib, cfg, std::move(task_names));
   if (const auto trace_out = rispp::obs::trace_out_arg(argc, argv)) {
     rispp::obs::write_trace_file(*trace_out, recorder.events(), meta);
     std::cout << "Trace (" << recorder.events().size() << " events) written to "
               << *trace_out << "\n";
   }
   if (const auto report_out = rispp::obs::report_out_arg(argc, argv)) {
-    rispp::obs::write_report_file(
-        *report_out, rispp::obs::Profiler::profile(recorder.events(), meta,
-                                                   "fig11"));
+    rispp::obs::write_report_file(*report_out, report);
     std::cout << "Run report written to " << *report_out << "\n";
   }
   return 0;

@@ -17,8 +17,11 @@ int main() {
   for (const auto& si : lib.sis()) {
     TextTable t;
     std::vector<std::string> header{si.name()};
-    for (std::size_t m = 0; m < si.options().size(); ++m)
-      header.push_back("m" + std::to_string(m + 1));
+    for (std::size_t m = 0; m < si.options().size(); ++m) {
+      std::string name = "m";
+      name += std::to_string(m + 1);
+      header.push_back(std::move(name));
+    }
     t.set_header(header);
 
     for (std::size_t a = 0; a < cat.size(); ++a) {

@@ -59,8 +59,10 @@ double overhead_pct(double off_ms, double on_ms) {
 /// run is dominated by engine + telemetry plumbing, not simulation depth.
 std::string sweep_grid() {
   std::string quanta;
-  for (int q = 0; q < 128; ++q)
-    quanta += (q ? "," : "") + std::to_string(2000 + 500 * q);
+  for (int q = 0; q < 128; ++q) {
+    if (q) quanta += ',';
+    quanta += std::to_string(2000 + 500 * q);
+  }
   return "workload=enc;frames=1;mb=8;containers=2,3,4,5,6,7,8,9;quantum=" +
          quanta;
 }

@@ -118,7 +118,9 @@ void Runner::run(const Sweep& sweep, const PointFn& fn, ResultSink& sink,
     row.point = point.index;
     row.seed = point.seed;
     row.cells = point.params;
-    obs::ScopedSpan span("point", "#" + std::to_string(point.index));
+    std::string detail = "#";  // "#" + to_string trips GCC 12's -Wrestrict
+    detail += std::to_string(point.index);
+    obs::ScopedSpan span("point", std::move(detail));
     auto metrics = fn(*platform_, point);
     row.cells.insert(row.cells.end(),
                      std::make_move_iterator(metrics.begin()),

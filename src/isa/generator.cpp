@@ -229,8 +229,8 @@ SiLibrary LibraryGenerator::generate() const {
   for (std::size_t a = 0; a < dim; ++a) {
     AtomInfo info;
     info.rotatable = a < rot;
-    info.name = (info.rotatable ? "G" : "M") +
-                std::to_string(info.rotatable ? a : a - rot);
+    info.name = info.rotatable ? "G" : "M";
+    info.name += std::to_string(info.rotatable ? a : a - rot);
     info.hardware.name = info.name;
     info.hardware.bitstream_bytes =
         clamp_u32(cfg_.bitstream.sample(rng), 1.0, 16.0 * 1024 * 1024);

@@ -261,16 +261,19 @@ void write_chrome_trace(std::ostream& out, const std::vector<Event>& events,
     // Running cycle-attribution totals, sampled at task-switch boundaries.
     if (any_switch) {
       Profiler profiler(meta);
-      for (const auto& e : events) profiler.on_event(e);
-      for (const auto& s : profiler.bucket_samples())
-        w.counter("cycle buckets", us(s.at, mhz),
-                  "\"sw_exec\":" + std::to_string(s.totals.sw_exec) +
-                      ",\"hw_exec\":" + std::to_string(s.totals.hw_exec) +
+      for (const auto& e : events) {
+        profiler.on_event(e);
+        if (e.kind != EventKind::TaskSwitch) continue;
+        const auto b = profiler.running_totals();
+        w.counter("cycle buckets", us(e.at, mhz),
+                  "\"sw_exec\":" + std::to_string(b.sw_exec) +
+                      ",\"hw_exec\":" + std::to_string(b.hw_exec) +
                       ",\"plain_compute\":" +
-                      std::to_string(s.totals.plain_compute) +
+                      std::to_string(b.plain_compute) +
                       ",\"rotation_stall\":" +
-                      std::to_string(s.totals.rotation_stall) +
-                      ",\"idle\":" + std::to_string(s.totals.idle));
+                      std::to_string(b.rotation_stall) +
+                      ",\"idle\":" + std::to_string(b.idle));
+      }
     }
   }
   w.close();

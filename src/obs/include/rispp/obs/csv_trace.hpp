@@ -11,7 +11,7 @@
 ///
 /// The format round-trips: read_csv_trace() reconstructs the exact event
 /// vector (and the name vectors of a TraceMeta) that write_csv_trace() was
-/// given — it is the input format of tools/trace_summary.
+/// given — it is the input format of `tools/rispp_report profile`.
 
 #include <iosfwd>
 #include <vector>

@@ -6,7 +6,7 @@
 /// through an EventSink — their only event output: neither keeps a log of
 /// its own, so a caller that wants the stream attaches a TraceRecorder.
 /// Exporters (chrome_trace.hpp, csv_trace.hpp) turn a recorded stream into
-/// files; summary.hpp and profiler.hpp aggregate it. The disabled path is a
+/// files; profiler.hpp aggregates it. The disabled path is a
 /// null sink pointer: every emission site is a single `if (sink)` branch,
 /// so instrumented code pays nothing when tracing is off (the acceptance
 /// budget is < 2 % on fig06).

@@ -3,12 +3,15 @@
 /// \brief Streaming cycle-attribution profiler — every simulated cycle of
 /// every task lands in exactly one BucketSet bucket.
 ///
-/// The Profiler is an EventSink: feed it the same stream the exporters see
-/// (live, as the sink on SimConfig, or replayed from a TraceRecorder / CSV
-/// trace) and call finalize() for a RunReport. It keeps reduced state only
-/// — per-task counters, per-SI log histograms, in-flight rotation bookings
-/// — never the raw event list, so memory is bounded by platform size and
-/// in-flight activity, not stream length.
+/// The Profiler is an EventSink and the only aggregator of the event
+/// stream: feed it the same stream the exporters see (live, as the sink on
+/// SimConfig, or replayed from a TraceRecorder / CSV trace) and call
+/// finalize() for a RunReport. It keeps reduced state only — per-task
+/// counters, per-SI log histograms and upgrade counts, in-flight rotation
+/// bookings — in vectors indexed by task, SI and container id, never the
+/// raw event list. Memory is bounded by platform size and in-flight
+/// activity; the one part that grows with the stream is the occupancy
+/// timeline the report lists, one segment per completed rotation.
 ///
 /// ## Attribution model
 ///
@@ -29,6 +32,14 @@
 /// with no TaskSwitch events (unit-test fragments, rt-only traces) fall
 /// back to occupancy == execution, so plain_compute is 0 by construction.
 ///
+/// ## Upgrade staircase
+///
+/// Per SI, every MoleculeUpgraded to a lower latency is an upgrade and
+/// every other one a downgrade (Atoms lost to another SI). The
+/// forecast→upgrade gap runs from the SI's most recent ForecastSeen to
+/// each upgrade — how long the SI waited for the rotation chain to reach
+/// it (paper Fig 6 T4–T5, Fig 11).
+///
 /// ## Emission-order requirements
 ///
 /// Events arrive in emission order (not monotone in `at`); the profiler
@@ -41,7 +52,6 @@
 /// processing runs at the head of every execute() call.
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -62,13 +72,11 @@ class Profiler final : public EventSink {
   /// form label stored in the report (bench name, sweep point id).
   RunReport finalize(const std::string& scenario = {}) const;
 
-  /// Running per-bucket totals sampled at each task-switch boundary —
-  /// the data series behind the chrome-trace counter tracks.
-  struct BucketSample {
-    std::uint64_t at = 0;
-    BucketSet totals;  ///< aggregate over all tasks, up to `at`
-  };
-  const std::vector<BucketSample>& bucket_samples() const { return samples_; }
+  /// Aggregate buckets over all tasks at the most recent TaskSwitch: the
+  /// executions so far, the slices closed up to that switch, and idle time
+  /// up to it. O(1) from running totals; the chrome exporter samples it
+  /// after each switch for its "cycle buckets" counter track.
+  BucketSet running_totals() const;
 
   /// One-shot convenience: replay a recorded stream and finalize.
   static RunReport profile(const std::vector<Event>& events,
@@ -76,10 +84,21 @@ class Profiler final : public EventSink {
                            const std::string& scenario = {});
 
  private:
+  /// Event::task of an event outside any task; tasks_ starts at this id.
+  static constexpr std::int32_t kNoTask = -1;
+
   struct SiStats {
-    util::LogHistogram all, hw, sw, lead;
+    bool reported = false;  ///< executed or changed latency: a report row
+    util::LogHistogram all, hw, sw, lead, gap;
+    std::uint64_t upgrades = 0, downgrades = 0;
+    /// Earliest ForecastSeen not yet answered by a hardware execution or a
+    /// release — where the next forecast-lead sample starts.
+    std::optional<std::uint64_t> lead_from;
+    /// Most recent ForecastSeen — where every upgrade-gap sample starts.
+    std::optional<std::uint64_t> last_forecast;
   };
   struct TaskStats {
+    bool reported = false;  ///< executed or switched to: a report row
     std::uint64_t occupancy = 0;  ///< closed-slice cycles owned so far
     std::uint64_t hw = 0, sw = 0, stall = 0;  ///< execution cycles
   };
@@ -101,6 +120,7 @@ class Profiler final : public EventSink {
     std::uint64_t uses = 0;
   };
   struct ContainerState {
+    bool reported = false;  ///< loaded or evicted: a report row
     std::uint64_t rotations = 0;
     std::uint64_t wasted = 0;
     std::optional<Residency> resident;
@@ -119,37 +139,24 @@ class Profiler final : public EventSink {
   TraceMeta meta_;
   bool any_event_ = false;
   std::uint64_t first_ = 0;   ///< min event timestamp
-  std::uint64_t end_ = 0;     ///< max span end (matches TraceSummary)
+  std::uint64_t end_ = 0;     ///< max span end (SiExecuted/rotation spans)
   std::uint64_t decided_ = 0; ///< high-water mark passed to advance()
   std::uint64_t events_ = 0;
 
-  std::map<std::int32_t, TaskStats> tasks_;
-  std::int32_t cur_task_ = -1;        ///< task owning the core, -1 = none
+  std::vector<TaskStats> tasks_;  ///< by task id − kNoTask
+  TaskStats totals_;              ///< sum over tasks_, for running_totals()
+  std::int32_t cur_task_ = kNoTask;   ///< task owning the core
   std::uint64_t cur_since_ = 0;       ///< current slice start
   bool any_switch_ = false;
 
-  // Executions arrive in bursts of the same (si, task); one-entry caches
-  // skip the map walk on the hot path (map nodes are pointer-stable).
-  std::int64_t cached_si_id_ = -1;
-  SiStats* cached_si_ = nullptr;
-  std::int32_t cached_task_id_ = -1;
-  TaskStats* cached_task_ = nullptr;
-
-  std::map<std::int64_t, SiStats> sis_;
-  std::map<std::int64_t, std::uint64_t> pending_forecast_;  ///< si → seen at
+  std::vector<SiStats> sis_;  ///< by SI index
 
   std::vector<Booking> bookings_;
-  std::map<std::int32_t, ContainerState> containers_;
-  /// Flat (si, residency) view of the engaged `containers_[*].resident`
-  /// optionals — the per-hardware-execution use bump walks this instead of
-  /// the container map. Map nodes are pointer-stable; entries are added on
-  /// promotion and dropped when the residency closes.
-  std::vector<std::pair<std::int64_t, Residency*>> resident_index_;
+  std::vector<ContainerState> containers_;  ///< by container id
   util::LogHistogram port_queue_, port_transfer_;
   std::uint64_t port_busy_ = 0;
 
   ReportCounts counts_;
-  std::vector<BucketSample> samples_;
 };
 
 }  // namespace rispp::obs

@@ -22,10 +22,10 @@
 namespace rispp::obs {
 
 /// Current serialization version; bumped on any schema change.
-inline constexpr int kReportVersion = 1;
+inline constexpr int kReportVersion = 2;
 
-/// Cycle-attribution buckets. The Profiler guarantees (and check() enforces)
-/// that per task these sum exactly to the run's span.
+/// Cycle-attribution buckets. The Profiler guarantees (and finalize()
+/// enforces) that per task these sum exactly to the run's span.
 struct BucketSet {
   std::uint64_t sw_exec = 0;         ///< SW-Molecule SI execution
   std::uint64_t hw_exec = 0;         ///< HW-Molecule SI execution
@@ -55,8 +55,10 @@ struct LatencyDigest {
                          const LatencyDigest&) = default;
 };
 
-/// Per-SI latency digests, split by Molecule flavour, plus the
-/// forecast→first-hardware-use lead time the run-time achieved for it.
+/// Per-SI latency digests, split by Molecule flavour, the
+/// forecast→first-hardware-use lead time the run-time achieved for it, and
+/// its upgrade staircase: how often its latency changed and how long each
+/// upgrade took to arrive after the SI was forecast.
 struct SiReport {
   std::int64_t si = -1;
   std::string name;
@@ -64,6 +66,9 @@ struct SiReport {
   LatencyDigest hw;             ///< hardware-Molecule invocations
   LatencyDigest sw;             ///< software invocations (incl. stalled ones)
   LatencyDigest forecast_lead;  ///< ForecastSeen → first hw execution
+  std::uint64_t upgrades = 0;    ///< MoleculeUpgraded to a lower latency
+  std::uint64_t downgrades = 0;  ///< MoleculeUpgraded to a higher latency
+  LatencyDigest upgrade_gap;     ///< latest ForecastSeen → each upgrade
 };
 
 struct TaskReport {
@@ -100,8 +105,7 @@ struct PortReport {
   LatencyDigest transfer;
 };
 
-/// Scalar event counts (superset of TraceSummary's counters, so a report
-/// alone is enough to regenerate the trace_summary table).
+/// Scalar event counts over the whole stream.
 struct ReportCounts {
   std::uint64_t events = 0;
   std::uint64_t task_switches = 0;

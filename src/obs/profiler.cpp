@@ -7,6 +7,28 @@
 
 namespace rispp::obs {
 
+namespace {
+
+/// Ids index dense vectors. Platforms have a few thousand tasks at most and
+/// far fewer SIs and containers; an id past this bound comes from a corrupt
+/// stream (say, a hand-edited CSV trace), and growing a vector to it would
+/// allocate without bound.
+constexpr std::int64_t kMaxIds = std::int64_t{1} << 20;
+
+/// The slot of `id` in `v`, whose ids start at `first`; grows `v` to it.
+template <class T>
+T& dense(std::vector<T>& v, std::int64_t id, std::int64_t first,
+         const char* what) {
+  RISPP_REQUIRE(id >= first && id - first < kMaxIds,
+                std::string("profiler: ") + what + " id " +
+                    std::to_string(id) + " is out of range");
+  const auto i = static_cast<std::size_t>(id - first);
+  if (i >= v.size()) v.resize(i + 1);
+  return v[i];
+}
+
+}  // namespace
+
 Profiler::Profiler(TraceMeta meta) : meta_(std::move(meta)) {}
 
 Profiler::Booking* Profiler::find_booking(std::int32_t container,
@@ -33,8 +55,6 @@ void Profiler::close_residency(ContainerState& c, std::uint64_t at) {
     ++c.wasted;
     ++counts_.wasted_rotations;
   }
-  std::erase_if(resident_index_,
-                [&](const auto& e) { return e.second == &*c.resident; });
   c.resident.reset();
 }
 
@@ -48,10 +68,10 @@ void Profiler::advance(std::uint64_t t) {
     auto& b = bookings_[i];
     if (!b.committed && b.start <= t) commit(b);
     if (b.committed && b.done <= t) {
-      auto& c = containers_[b.container];
+      auto& c = dense(containers_, b.container, 0, "container");
+      c.reported = true;
       close_residency(c, b.done);  // defensive: eviction normally precedes
       c.resident = Residency{b.atom, b.si, b.done, 0};
-      resident_index_.emplace_back(b.si, &*c.resident);
       ++c.rotations;
       bookings_.erase(bookings_.begin() +
                       static_cast<std::ptrdiff_t>(i));
@@ -76,7 +96,7 @@ void Profiler::on_event(const Event& e) {
   // cycle, so resolve it *before* advancing decided time — advance(e.at)
   // would promote the transfer into residency first. The port *was*
   // occupied by the faulty transfer; only the completed-rotation count
-  // moves to "failed" (cf. summarize()), and nothing becomes resident.
+  // moves to "failed", and nothing becomes resident.
   if (e.kind == EventKind::RotationFailed) {
     ++counts_.rotations_failed;
     if (auto* b = find_booking(e.container, e.prev_cycles)) {
@@ -98,27 +118,20 @@ void Profiler::on_event(const Event& e) {
 
   switch (e.kind) {
     case EventKind::SiExecuted: {
-      if (e.si != cached_si_id_) {
-        cached_si_ = &sis_[e.si];
-        cached_si_id_ = e.si;
-      }
-      if (e.task != cached_task_id_) {
-        cached_task_ = &tasks_[e.task];
-        cached_task_id_ = e.task;
-      }
-      auto& si = *cached_si_;
+      auto& si = dense(sis_, e.si, 0, "SI");
+      auto& task = dense(tasks_, e.task, kNoTask, "task");
+      si.reported = task.reported = true;
       si.all.add(e.cycles);
-      auto& task = *cached_task_;
       if (e.hardware) {
         si.hw.add(e.cycles);
         task.hw += e.cycles;
-        if (const auto it = pending_forecast_.find(e.si);
-            it != pending_forecast_.end()) {
-          if (e.at >= it->second) si.lead.add(e.at - it->second);
-          pending_forecast_.erase(it);
+        totals_.hw += e.cycles;
+        if (si.lead_from) {
+          if (e.at >= *si.lead_from) si.lead.add(e.at - *si.lead_from);
+          si.lead_from.reset();
         }
-        for (auto& [rsi, r] : resident_index_)
-          if (rsi == e.si) ++r->uses;
+        for (auto& c : containers_)
+          if (c.resident && c.resident->si == e.si) ++c.resident->uses;
       } else {
         si.sw.add(e.cycles);
         // Stalled if the SI's own rotation was in flight on the port: the
@@ -130,16 +143,20 @@ void Profiler::on_event(const Event& e) {
             break;
           }
         (stalled ? task.stall : task.sw) += e.cycles;
+        (stalled ? totals_.stall : totals_.sw) += e.cycles;
       }
       break;
     }
-    case EventKind::ForecastSeen:
+    case EventKind::ForecastSeen: {
       ++counts_.forecasts;
-      pending_forecast_.emplace(e.si, e.at);  // keeps the earliest
+      auto& si = dense(sis_, e.si, 0, "SI");
+      if (!si.lead_from) si.lead_from = e.at;
+      si.last_forecast = e.at;
       break;
+    }
     case EventKind::ForecastReleased:
       ++counts_.releases;
-      pending_forecast_.erase(e.si);
+      dense(sis_, e.si, 0, "SI").lead_from.reset();
       break;
     case EventKind::RotationStarted:
       bookings_.push_back({e.container, e.si, e.atom, e.prev_cycles, e.at,
@@ -158,38 +175,50 @@ void Profiler::on_event(const Event& e) {
     case EventKind::AcQuarantined:
       ++counts_.acs_quarantined;
       break;
-    case EventKind::MoleculeUpgraded:
-      break;  // latency changes surface through SiExecuted samples
+    case EventKind::MoleculeUpgraded: {
+      auto& si = dense(sis_, e.si, 0, "SI");
+      si.reported = true;
+      if (e.cycles < e.prev_cycles) {
+        ++si.upgrades;
+        if (si.last_forecast && e.at >= *si.last_forecast)
+          si.gap.add(e.at - *si.last_forecast);
+      } else {
+        ++si.downgrades;
+      }
+      break;
+    }
     case EventKind::TaskSwitch: {
       ++counts_.task_switches;
-      if (any_switch_ && e.at >= cur_since_)
-        tasks_[cur_task_].occupancy += e.at - cur_since_;
-      tasks_[e.task];  // tasks with no executions still get a report row
+      if (any_switch_ && e.at >= cur_since_) {
+        tasks_[static_cast<std::size_t>(cur_task_ - kNoTask)].occupancy +=
+            e.at - cur_since_;
+        totals_.occupancy += e.at - cur_since_;
+      }
+      dense(tasks_, e.task, kNoTask, "task").reported = true;
       cur_task_ = e.task;
       cur_since_ = e.at;
       any_switch_ = true;
-
-      BucketSet totals;
-      std::uint64_t occupancy = 0;
-      for (const auto& [id, t] : tasks_) {
-        totals.hw_exec += t.hw;
-        totals.sw_exec += t.sw;
-        totals.rotation_stall += t.stall;
-        occupancy += t.occupancy;
-      }
-      const auto exec =
-          totals.hw_exec + totals.sw_exec + totals.rotation_stall;
-      totals.plain_compute = occupancy > exec ? occupancy - exec : 0;
-      const auto elapsed = e.at >= first_ ? e.at - first_ : 0;
-      totals.idle = elapsed > occupancy ? elapsed - occupancy : 0;
-      samples_.push_back({e.at, totals});
       break;
     }
-    case EventKind::AtomEvicted:
+    case EventKind::AtomEvicted: {
       ++counts_.evictions;
-      close_residency(containers_[e.container], e.at);
+      auto& c = dense(containers_, e.container, 0, "container");
+      c.reported = true;
+      close_residency(c, e.at);
       break;
+    }
   }
+}
+
+BucketSet Profiler::running_totals() const {
+  const auto& t = totals_;
+  const auto exec = t.hw + t.sw + t.stall;
+  const auto elapsed = cur_since_ >= first_ ? cur_since_ - first_ : 0;
+  return {.sw_exec = t.sw,
+          .hw_exec = t.hw,
+          .plain_compute = t.occupancy > exec ? t.occupancy - exec : 0,
+          .rotation_stall = t.stall,
+          .idle = elapsed > t.occupancy ? elapsed - t.occupancy : 0};
 }
 
 LatencyDigest Profiler::digest(const util::LogHistogram& h) {
@@ -218,26 +247,25 @@ RunReport Profiler::finalize(const std::string& scenario) const {
   // Every booking still pending at end-of-stream really ran: all
   // cancellation/failure tombstones are already in the stream behind us.
   for (const auto& b : bookings_) {
-    auto bb = b;
-    if (!bb.committed) {
-      bb.committed = true;
+    if (!b.committed) {
       ++counts.rotations;
-      port_busy += bb.done - bb.start;
-      queue.add(bb.start >= bb.booked ? bb.start - bb.booked : 0);
-      transfer.add(bb.done - bb.start);
+      port_busy += b.done - b.start;
+      queue.add(b.start >= b.booked ? b.start - b.booked : 0);
+      transfer.add(b.done - b.start);
     }
-    if (bb.done <= end_) {
-      auto& c = containers[bb.container];
+    if (b.done <= end_) {
+      auto& c = dense(containers, b.container, 0, "container");
+      c.reported = true;
       if (c.resident) {
         const auto& r = *c.resident;
         c.segments.push_back({r.atom, meta_.atom_name(r.atom), r.from,
-                              std::max(bb.done, r.from), r.uses});
+                              std::max(b.done, r.from), r.uses});
         if (r.uses == 0) {
           ++c.wasted;
           ++counts.wasted_rotations;
         }
       }
-      c.resident = Residency{bb.atom, bb.si, bb.done, 0};
+      c.resident = Residency{b.atom, b.si, b.done, 0};
       ++c.rotations;
     }
   }
@@ -246,8 +274,9 @@ RunReport Profiler::finalize(const std::string& scenario) const {
   // end. A never-evicted Atom with zero uses is *not* wasted — it was
   // never given up, so the jury is still out when the trace ends.
   if (any_switch_ && end_ >= cur_since_)
-    tasks[cur_task_].occupancy += end_ - cur_since_;
-  for (auto& [id, c] : containers)
+    tasks[static_cast<std::size_t>(cur_task_ - kNoTask)].occupancy +=
+        end_ - cur_since_;
+  for (auto& c : containers)
     if (c.resident) {
       const auto& r = *c.resident;
       c.segments.push_back({r.atom, meta_.atom_name(r.atom), r.from,
@@ -263,7 +292,10 @@ RunReport Profiler::finalize(const std::string& scenario) const {
   r.counts.events = events_;
 
   const auto span = r.span_cycles();
-  for (const auto& [id, t] : tasks) {
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const auto& t = tasks[i];
+    if (!t.reported) continue;
+    const auto id = static_cast<std::int32_t>(i) + kNoTask;
     const auto exec = t.hw + t.sw + t.stall;
     const auto occupancy = any_switch_ ? t.occupancy : exec;
     RISPP_REQUIRE(occupancy >= exec,
@@ -290,14 +322,19 @@ RunReport Profiler::finalize(const std::string& scenario) const {
     r.buckets.idle += span - occupancy;
   }
 
-  for (const auto& [id, s] : sis_) {
+  for (std::size_t i = 0; i < sis_.size(); ++i) {
+    const auto& s = sis_[i];
+    if (!s.reported) continue;
     SiReport sr;
-    sr.si = id;
-    sr.name = meta_.si_name(id);
+    sr.si = static_cast<std::int64_t>(i);
+    sr.name = meta_.si_name(sr.si);
     sr.all = digest(s.all);
     sr.hw = digest(s.hw);
     sr.sw = digest(s.sw);
     sr.forecast_lead = digest(s.lead);
+    sr.upgrades = s.upgrades;
+    sr.downgrades = s.downgrades;
+    sr.upgrade_gap = digest(s.gap);
     r.sis.push_back(std::move(sr));
   }
 
@@ -307,9 +344,11 @@ RunReport Profiler::finalize(const std::string& scenario) const {
   r.port.queueing = digest(queue);
   r.port.transfer = digest(transfer);
 
-  for (auto& [id, c] : containers) {
+  for (std::size_t i = 0; i < containers.size(); ++i) {
+    auto& c = containers[i];
+    if (!c.reported) continue;
     ContainerReport cr;
-    cr.container = id;
+    cr.container = static_cast<std::int32_t>(i);
     cr.rotations = c.rotations;
     cr.wasted_rotations = c.wasted;
     cr.occupancy = std::move(c.segments);

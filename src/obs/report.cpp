@@ -131,6 +131,9 @@ json::Value to_json(const RunReport& r) {
     sv.add("hw", digest_json(s.hw));
     sv.add("sw", digest_json(s.sw));
     sv.add("forecast_lead", digest_json(s.forecast_lead));
+    sv.add("upgrades", num(s.upgrades));
+    sv.add("downgrades", num(s.downgrades));
+    sv.add("upgrade_gap", digest_json(s.upgrade_gap));
     sis.push_back(std::move(sv));
   }
   v.add("sis", std::move(sis));
@@ -208,6 +211,9 @@ RunReport report_from_json(const json::Value& v) {
     s.hw = digest_from(sv.at("hw"));
     s.sw = digest_from(sv.at("sw"));
     s.forecast_lead = digest_from(sv.at("forecast_lead"));
+    s.upgrades = sv.at("upgrades").as_u64();
+    s.downgrades = sv.at("downgrades").as_u64();
+    s.upgrade_gap = digest_from(sv.at("upgrade_gap"));
     r.sis.push_back(std::move(s));
   }
   const auto& port = v.at("port");

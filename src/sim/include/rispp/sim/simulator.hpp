@@ -32,8 +32,8 @@ enum class Driving {
   /// (see docs/observability.md for why this is equivalent). The default.
   Wakeups,
   /// Poll the manager at every task switch, like the seed simulator did.
-  /// Kept for equivalence regression tests and for measuring the kernel's
-  /// plan cache under polling pressure (bench/realloc_hot_path).
+  /// Kept for the wakeups ≡ polling regression tests (rt_kernel_test's
+  /// KernelGoldenTrace and KernelGoldenCounts).
   PollEverySwitch,
 };
 
@@ -52,7 +52,7 @@ enum class Scheduler {
   RunnableRing,
   /// The seed's O(T) behaviour: scan forward from the current slot,
   /// skipping finished tasks, plus an any_of over all tasks per switch.
-  /// Kept for differential tests and bench/kernel_throughput.
+  /// Kept for the SchedulerDifferential tests (sim_sched_test).
   LinearScan,
 };
 

@@ -513,8 +513,11 @@ std::vector<sim::TaskDef> PhasedWorkload::generate(PhasedStats* stats) const {
 
   std::vector<sim::TaskDef> tasks;
   tasks.reserve(task_count);
-  for (std::size_t t = 0; t < task_count; ++t)
-    tasks.push_back({"t" + std::to_string(t), std::move(traces[t])});
+  for (std::size_t t = 0; t < task_count; ++t) {
+    std::string name = "t";  // "t" + to_string trips GCC 12's -Wrestrict
+    name += std::to_string(t);
+    tasks.push_back({std::move(name), std::move(traces[t])});
+  }
   if (stats) *stats = std::move(local);
   return tasks;
 }

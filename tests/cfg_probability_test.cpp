@@ -84,8 +84,11 @@ TEST(ReachProbability, SccMatchesIterativeOnRandomGraphs) {
   for (int trial = 0; trial < 25; ++trial) {
     BBGraph g;
     const int n = 3 + static_cast<int>(rng.below(25));
-    for (int i = 0; i < n; ++i)
-      g.add_block("b" + std::to_string(i), 1 + rng.below(50));
+    for (int i = 0; i < n; ++i) {
+      std::string name = "b";
+      name += std::to_string(i);
+      g.add_block(std::move(name), 1 + rng.below(50));
+    }
     const int edges = n + static_cast<int>(rng.below(static_cast<std::uint64_t>(2 * n)));
     for (int e = 0; e < edges; ++e)
       g.add_edge(static_cast<BlockId>(rng.below(n)),
@@ -102,7 +105,11 @@ TEST(ReachProbability, ProbabilitiesAreWellFormed) {
   rispp::util::Xoshiro256 rng(99);
   BBGraph g;
   const int n = 40;
-  for (int i = 0; i < n; ++i) g.add_block("b" + std::to_string(i));
+  for (int i = 0; i < n; ++i) {
+    std::string name = "b";
+    name += std::to_string(i);
+    g.add_block(std::move(name));
+  }
   for (int e = 0; e < 120; ++e)
     g.add_edge(static_cast<BlockId>(rng.below(n)),
                static_cast<BlockId>(rng.below(n)), 1 + rng.below(9));

@@ -108,7 +108,11 @@ TEST(Tarjan, RandomGraphsPartitionAndOrder) {
   for (int trial = 0; trial < 20; ++trial) {
     BBGraph g;
     const int n = 2 + static_cast<int>(rng.below(30));
-    for (int i = 0; i < n; ++i) g.add_block("b" + std::to_string(i));
+    for (int i = 0; i < n; ++i) {
+      std::string name = "b";
+      name += std::to_string(i);
+      g.add_block(std::move(name));
+    }
     const int edges = static_cast<int>(rng.below(static_cast<std::uint64_t>(3 * n)));
     for (int e = 0; e < edges; ++e)
       g.add_edge(static_cast<BlockId>(rng.below(n)),

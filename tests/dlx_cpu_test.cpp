@@ -120,9 +120,15 @@ TEST_F(DlxCpu, SiComputesRealSatdAgainstReference) {
     cur[i] = 100 + i * 3;
     ref[i] = 98 + ((i * 5) % 11);
   }
-  for (int i = 0; i < 16; ++i) src += " " + std::to_string(cur[i]);
+  for (int i = 0; i < 16; ++i) {
+    src += ' ';
+    src += std::to_string(cur[i]);
+  }
   src += "\n  .data";
-  for (int i = 0; i < 16; ++i) src += " " + std::to_string(ref[i]);
+  for (int i = 0; i < 16; ++i) {
+    src += ' ';
+    src += std::to_string(ref[i]);
+  }
   src +=
       "\n  addi r5, r0, 0\n"    // cur at byte 0
       "  addi r6, r0, 64\n"     // ref at byte 64
@@ -176,7 +182,8 @@ TEST_F(DlxCpu, DctSiWritesTransformedBlock) {
   rispp::h264::Block4x4 res{};
   for (int i = 0; i < 16; ++i) {
     res[i] = (i % 4) * 2 - 3;
-    src += " " + std::to_string(res[i]);
+    src += ' ';
+    src += std::to_string(res[i]);
   }
   src +=
       "\n  addi r5, r0, 0\n"

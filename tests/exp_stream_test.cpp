@@ -173,8 +173,11 @@ TEST(StreamAggregator, DeterministicAcrossJobsAndKnownValues) {
 
   // Known values: metric x = 1..100 in point order.
   Sweep plan;
-  for (int i = 1; i <= 100; ++i)
-    plan.add_point({{"x", std::to_string(i)}, {"label", "p" + std::to_string(i)}});
+  for (int i = 1; i <= 100; ++i) {
+    std::string label = "p";
+    label += std::to_string(i);
+    plan.add_point({{"x", std::to_string(i)}, {"label", std::move(label)}});
+  }
   StreamingAggregator agg;
   for (const auto& p : plan.points()) {
     ResultRow row;

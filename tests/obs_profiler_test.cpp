@@ -1,9 +1,13 @@
 /// Cycle-attribution profiler: bucket math on hand-built streams, rotation
 /// economics (queueing vs transfer, wasted rotations, occupancy timelines),
-/// and the attribution invariant — per-task buckets sum exactly to the run
-/// span — on the fig06 / fig11 / AES scenarios and under seeded faults.
+/// the upgrade staircase, the running totals behind the chrome exporter's
+/// counter track, and the attribution invariant — per-task buckets sum
+/// exactly to the run span — on the fig06 / fig11 / AES scenarios and under
+/// seeded faults.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "rispp/aes/graph.hpp"
 #include "rispp/forecast/forecast_pass.hpp"
@@ -83,6 +87,59 @@ TEST(Profiler, BucketMathOnAlternatingSlices) {
             (BucketSet{544, 0, 456, 0, 1000}));
   expect_attribution(r);
   EXPECT_EQ(r.counts.task_switches, 3u);
+
+  // Sampled at the last switch (2000), the running totals hold both closed
+  // slices as occupancy and no idle time: the core was never unowned.
+  Profiler live;
+  for (const auto& e : events) live.on_event(e);
+  EXPECT_EQ(live.running_totals(), (BucketSet{544, 50, 1406, 0, 0}));
+}
+
+TEST(Profiler, UpgradeGapRunsFromTheLatestForecastToEachUpgrade) {
+  const std::vector<Event> events = {
+      {.at = 0, .kind = EventKind::ForecastSeen, .task = 0, .si = 0},
+      {.at = 100, .kind = EventKind::ForecastSeen, .task = 0, .si = 0},
+      // Upgrade 544 → 24: gap from the latest forecast (100).
+      {.at = 400, .kind = EventKind::MoleculeUpgraded, .task = 0, .si = 0,
+       .cycles = 24, .prev_cycles = 544, .hardware = true},
+      // Atoms lost to another SI: a downgrade, no gap sample.
+      {.at = 500, .kind = EventKind::MoleculeUpgraded, .task = 0, .si = 0,
+       .cycles = 40, .prev_cycles = 24, .hardware = true},
+      {.at = 900, .kind = EventKind::MoleculeUpgraded, .task = 0, .si = 0,
+       .cycles = 20, .prev_cycles = 40, .hardware = true},
+      // SI 1 was never forecast: its upgrade counts without a gap, and it
+      // gets a report row although it never executed.
+      {.at = 950, .kind = EventKind::MoleculeUpgraded, .task = 1, .si = 1,
+       .cycles = 22, .prev_cycles = 298, .hardware = true},
+  };
+  const auto r = Profiler::profile(events, {});
+  ASSERT_EQ(r.sis.size(), 2u);
+  const auto& s0 = r.sis[0];
+  EXPECT_EQ(s0.upgrades, 2u);
+  EXPECT_EQ(s0.downgrades, 1u);
+  ASSERT_EQ(s0.upgrade_gap.count, 2u);
+  EXPECT_EQ(s0.upgrade_gap.min, 300u);
+  EXPECT_EQ(s0.upgrade_gap.max, 800u);
+  EXPECT_DOUBLE_EQ(s0.upgrade_gap.mean, 550.0);
+  const auto& s1 = r.sis[1];
+  EXPECT_EQ(s1.si, 1);
+  EXPECT_EQ(s1.upgrades, 1u);
+  EXPECT_EQ(s1.downgrades, 0u);
+  EXPECT_EQ(s1.upgrade_gap.count, 0u);
+  EXPECT_EQ(s1.all.count, 0u);
+}
+
+TEST(Profiler, OutOfRangeIdsAreRejectedNotAllocated) {
+  // State is indexed by id: a corrupt stream must fail loudly instead of
+  // growing a vector to its id.
+  Profiler p;
+  EXPECT_THROW(p.on_event(si_exec(0, 0, std::int64_t{1} << 40, 5, false)),
+               rispp::util::PreconditionError);
+  EXPECT_THROW(p.on_event(si_exec(0, -2, 0, 5, false)),
+               rispp::util::PreconditionError);
+  EXPECT_THROW(p.on_event({.at = 0, .kind = EventKind::AtomEvicted,
+                           .container = -1, .atom = 0}),
+               rispp::util::PreconditionError);
 }
 
 TEST(Profiler, StallRequiresAnInFlightRotationForTheSameSi) {
@@ -247,8 +304,13 @@ TEST(ProfilerInvariant, Fig11UpgradeStaircase) {
   expect_attribution(r);
   EXPECT_EQ(r.tasks.size(), lib.size());
   EXPECT_EQ(r.sis.size(), lib.size());
-  // Each SI was forecast and eventually reached hardware: a lead sample.
-  for (const auto& si : r.sis) EXPECT_EQ(si.forecast_lead.count, 1u);
+  // Each SI was forecast and eventually reached hardware: a lead sample,
+  // and every upgrade of the staircase after that forecast has a gap.
+  for (const auto& si : r.sis) {
+    EXPECT_EQ(si.forecast_lead.count, 1u);
+    EXPECT_GT(si.upgrades, 0u);
+    EXPECT_EQ(si.upgrade_gap.count, si.upgrades);
+  }
 }
 
 TEST(ProfilerInvariant, AesGraphWalk) {
@@ -316,16 +378,34 @@ TEST(ProfilerInvariant, Fig06UnderSeededFaults) {
 }
 
 TEST(ProfilerInvariant, BucketSamplesAreMonotone) {
+  // The chrome exporter's "cycle buckets" track: running_totals() sampled
+  // after every task switch of the fig06 stream.
   const auto lib = rispp::isa::SiLibrary::h264();
   rispp::sim::SimConfig cfg;
   cfg.rt.atom_containers = 6;
   cfg.quantum = 25000;
-  Profiler profiler(make_trace_meta(lib, cfg, {"A", "B"}));
-  cfg.rt.sink = &profiler;
+  TraceRecorder recorder;
+  cfg.rt.sink = &recorder;
   rispp::sim::Simulator sim(borrow(lib), cfg);
   rispp::workload::TraceSource::make_fig06(lib)->add_to(sim);
   sim.run();
-  const auto& samples = profiler.bucket_samples();
+
+  struct Sample {
+    std::uint64_t at = 0;
+    BucketSet totals;
+  };
+  std::vector<Sample> samples;
+  Profiler profiler(make_trace_meta(lib, cfg, {"A", "B"}));
+  std::uint64_t first = ~std::uint64_t{0};
+  for (const auto& e : recorder.events()) {
+    profiler.on_event(e);
+    first = std::min(first, e.at);
+    if (e.kind != EventKind::TaskSwitch) continue;
+    samples.push_back({e.at, profiler.running_totals()});
+    // One core: at a switch every execution lies in a closed slice, so the
+    // buckets partition the time elapsed since the stream began.
+    EXPECT_EQ(samples.back().totals.total(), e.at - first) << "at " << e.at;
+  }
   ASSERT_FALSE(samples.empty());
   for (std::size_t i = 1; i < samples.size(); ++i) {
     EXPECT_GE(samples[i].at, samples[i - 1].at);

@@ -95,9 +95,9 @@ TEST(ReportGolden, Fig06MatchesCheckedInReportByteForByte) {
 }
 
 TEST(ReportGolden, CsvReplayIsTheSameCodePathAsLiveStreaming) {
-  // tools/trace_summary --json replays a CSV trace through exactly this
-  // call; the replayed fig06 stream must serialize to the same bytes as the
-  // live profiler run (the golden), names learned from the CSV columns.
+  // `rispp_report profile` replays a CSV trace through exactly this call;
+  // the replayed fig06 stream must serialize to the same bytes as the live
+  // profiler run (the golden), names learned from the CSV columns.
   std::ifstream in(std::string(RISPP_TEST_DATA_DIR) + "/fig06_golden.csv");
   ASSERT_TRUE(in.good());
   TraceMeta learned;

@@ -1,9 +1,11 @@
 /// Observability layer: event sinks, exporters (golden
-/// Chrome-trace file, CSV round-trip), trace summarization, and end-to-end
-/// instrumentation of the simulator + run-time manager.
+/// Chrome-trace file, CSV round-trip), the profiler's stream counts and
+/// upgrade staircase, and end-to-end instrumentation of the simulator +
+/// run-time manager.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -12,7 +14,7 @@
 #include "rispp/obs/chrome_trace.hpp"
 #include "rispp/obs/csv_trace.hpp"
 #include "rispp/obs/json.hpp"
-#include "rispp/obs/summary.hpp"
+#include "rispp/obs/profiler.hpp"
 #include "rispp/sim/observe.hpp"
 #include "rispp/sim/simulator.hpp"
 #include "rispp/util/error.hpp"
@@ -201,53 +203,29 @@ TEST(ChromeTrace, FaultsAreInstantsAndNamesAreEscaped) {
                                               "quarantine AC 1"}));
 }
 
-TEST(Summarize, AggregatesTinyStream) {
-  const auto s = summarize(tiny_stream());
-  EXPECT_EQ(s.rotations, 1u);
-  EXPECT_EQ(s.rotation_busy_cycles, 500u);
-  EXPECT_EQ(s.evictions, 1u);
-  EXPECT_EQ(s.task_switches, 1u);
-  EXPECT_EQ(s.forecasts, 1u);
-  EXPECT_EQ(s.first_cycle, 0u);
+TEST(Profiler, AggregatesTinyStream) {
+  const auto r = Profiler::profile(tiny_stream(), tiny_meta());
+  EXPECT_EQ(r.counts.rotations, 1u);
+  EXPECT_EQ(r.port.busy_cycles, 500u);
+  EXPECT_EQ(r.counts.evictions, 1u);
+  EXPECT_EQ(r.counts.task_switches, 1u);
+  EXPECT_EQ(r.counts.forecasts, 1u);
+  EXPECT_EQ(r.first_cycle, 0u);
   // Last timestamp is the SiExecuted span end 700 + 24.
-  EXPECT_EQ(s.last_cycle, 724u);
-  ASSERT_EQ(s.per_si.size(), 1u);
-  const auto& satd = s.per_si.at(0);
-  EXPECT_EQ(satd.invocations, 2u);
-  EXPECT_EQ(satd.hw_invocations, 1u);
-  EXPECT_EQ(satd.sw_invocations, 1u);
+  EXPECT_EQ(r.last_cycle, 724u);
+  ASSERT_EQ(r.sis.size(), 1u);
+  const auto& satd = r.sis[0];
+  EXPECT_EQ(satd.name, "SATD");
+  EXPECT_EQ(satd.all.count, 2u);
+  EXPECT_EQ(satd.hw.count, 1u);
+  EXPECT_EQ(satd.sw.count, 1u);
   EXPECT_EQ(satd.upgrades, 1u);
   EXPECT_EQ(satd.downgrades, 0u);
-  ASSERT_EQ(satd.upgrade_gap.count(), 1u);
-  EXPECT_DOUBLE_EQ(satd.upgrade_gap.mean(), 700.0);
-  EXPECT_NEAR(s.rotation_utilization(), 500.0 / 724.0, 1e-12);
-}
-
-TEST(Summarize, ZeroSpanTracesDoNotDivideByZero) {
-  // Regression: empty and single-instant traces have span_cycles() == 0;
-  // rotation_utilization() must return 0.0, not NaN/inf.
-  EXPECT_DOUBLE_EQ(summarize({}).rotation_utilization(), 0.0);
-
-  const std::vector<Event> instant = {
-      {.at = 42, .kind = EventKind::TaskSwitch, .task = 0}};
-  const auto s = summarize(instant);
-  EXPECT_EQ(s.span_cycles(), 0u);
-  EXPECT_DOUBLE_EQ(s.rotation_utilization(), 0.0);
-}
-
-TEST(Summarize, CancelledRotationsDoNotOccupyThePort) {
-  const std::vector<Event> events = {
-      {.at = 0, .kind = EventKind::RotationStarted, .container = 0, .atom = 0,
-       .cycles = 100},
-      {.at = 50, .kind = EventKind::RotationStarted, .container = 1, .atom = 0,
-       .cycles = 100, .prev_cycles = 0},
-      {.at = 10, .kind = EventKind::RotationCancelled, .container = 1,
-       .atom = 0, .cycles = 100, .prev_cycles = 50},
-  };
-  const auto s = summarize(events);
-  EXPECT_EQ(s.rotations, 1u);
-  EXPECT_EQ(s.rotations_cancelled, 1u);
-  EXPECT_EQ(s.rotation_busy_cycles, 100u);
+  // Forecast at 0, upgrade at 700.
+  ASSERT_EQ(satd.upgrade_gap.count, 1u);
+  EXPECT_EQ(satd.upgrade_gap.min, 700u);
+  EXPECT_DOUBLE_EQ(satd.upgrade_gap.mean, 700.0);
+  EXPECT_DOUBLE_EQ(r.port.utilization, 500.0 / 724.0);
 }
 
 /// End-to-end: a Fig-6-flavoured two-task scenario with a sink attached.
@@ -315,22 +293,28 @@ TEST_F(InstrumentedSim, RotationSpansMatchReconfigPortLatency) {
 TEST_F(InstrumentedSim, StreamAgreesWithManagerAggregates) {
   rispp::obs::TraceRecorder recorder;
   const auto r = run(&recorder);
-  const auto s = summarize(recorder.events());
-  EXPECT_EQ(s.rotations, r.rotations);
+  const auto report = Profiler::profile(
+      recorder.events(), make_trace_meta(lib_, cfg_, {"A", "B"}));
+  EXPECT_EQ(report.counts.rotations, r.rotations);
   std::uint64_t invocations = 0;
   for (const auto& [name, st] : r.per_si) invocations += st.invocations;
   std::uint64_t traced_invocations = 0;
-  for (const auto& [si, st] : s.per_si) traced_invocations += st.invocations;
+  for (const auto& si : report.sis) traced_invocations += si.all.count;
   EXPECT_EQ(traced_invocations, invocations);
   // Both tasks forecast once; HT_4x4 released once.
-  EXPECT_EQ(s.forecasts, 2u);
-  EXPECT_EQ(s.releases, 1u);
-  // The SATD upgrade staircase must have fired at least once (SW → HW).
-  const auto& satd = s.per_si.at(
-      static_cast<std::int64_t>(lib_.index_of("SATD_4x4")));
-  EXPECT_GT(satd.upgrades, 0u);
-  EXPECT_GT(satd.sw_invocations, 0u);
-  EXPECT_GT(satd.hw_invocations, 0u);
+  EXPECT_EQ(report.counts.forecasts, 2u);
+  EXPECT_EQ(report.counts.releases, 1u);
+  // The SATD upgrade staircase must have fired at least once (SW → HW),
+  // each upgrade after task A's forecast: one gap sample per upgrade.
+  const auto satd_si = static_cast<std::int64_t>(lib_.index_of("SATD_4x4"));
+  const auto satd =
+      std::find_if(report.sis.begin(), report.sis.end(),
+                   [&](const auto& s) { return s.si == satd_si; });
+  ASSERT_NE(satd, report.sis.end());
+  EXPECT_GT(satd->upgrades, 0u);
+  EXPECT_EQ(satd->upgrade_gap.count, satd->upgrades);
+  EXPECT_GT(satd->sw.count, 0u);
+  EXPECT_GT(satd->hw.count, 0u);
 }
 
 TEST_F(InstrumentedSim, MetaNamesResolveAndExportersRun) {

@@ -1,14 +1,16 @@
 /// Event-driven reallocation kernel tests: the refactored plan→gate→
 /// cancel-stale→issue pipeline must reproduce the seed simulator's Fig-6
-/// event stream byte-for-byte, the plan cache must invalidate on exactly
-/// the right triggers, and Molecule-upgrade detection must not leak across
-/// tasks.
+/// event stream byte-for-byte, the kernel's entry and plan counts on a
+/// polling-heavy co-run are pinned under both drivings, the plan cache must
+/// invalidate on exactly the right triggers, and Molecule-upgrade detection
+/// must not leak across tasks.
 
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <sstream>
 
+#include "rispp/h264/phases.hpp"
 #include "rispp/isa/io.hpp"
 #include "rispp/obs/trace_export.hpp"
 #include "rispp/rt/manager.hpp"
@@ -63,6 +65,53 @@ TEST(KernelGoldenTrace, WakeupDrivingEqualsEverySwitchPolling) {
   const auto polled =
       run_fig06_csv(true, ::testing::TempDir() + "rispp_fig06_p.csv");
   EXPECT_EQ(wakeup, polled);
+}
+
+struct KernelCounts {
+  std::uint64_t cycles = 0;
+  std::uint64_t rotations = 0;
+  std::uint64_t reallocations = 0;  ///< kernel entries
+  std::uint64_t plans = 0;          ///< selector plan() runs
+};
+
+/// An H.264 encoder and decoder co-run on h264_frame (10 ACs, 4 frames of
+/// 99 macroblocks) with a 2000-cycle quantum: many task switches per phase,
+/// the case wakeups were built for.
+KernelCounts run_enc_dec_corun(Driving driving) {
+  const auto lib = rispp::isa::SiLibrary::h264_frame();
+  SimConfig cfg;
+  cfg.rt.atom_containers = 10;
+  cfg.quantum = 2000;
+  cfg.driving = driving;
+  Simulator sim(borrow(lib), cfg);
+  rispp::h264::PhaseTraceParams p;
+  p.frames = 4;
+  p.macroblocks_per_frame = 99;
+  sim.add_task({"enc", rispp::h264::make_phase_trace(
+                           lib, p, rispp::h264::fig1_phases())});
+  sim.add_task({"dec", rispp::h264::make_phase_trace(
+                           lib, p, rispp::h264::decoder_phases())});
+  const auto r = sim.run();
+  return {r.total_cycles, r.rotations,
+          sim.manager().counters().get("reallocations"),
+          sim.manager().counters().get("selector_plans")};
+}
+
+TEST(KernelGoldenCounts, EncDecCoRunUnderWakeupsAndPolling) {
+  // Wakeups enter the kernel only when a rotation completion was crossed;
+  // the plan cache re-plans only when the demand set or the loaded Atoms
+  // changed. Polling at every switch enters it ~150x as often for one more
+  // plan, and the simulated run is the same.
+  const auto wakeup = run_enc_dec_corun(Driving::Wakeups);
+  EXPECT_EQ(wakeup.cycles, 80'979'165u);
+  EXPECT_EQ(wakeup.rotations, 132u);
+  EXPECT_EQ(wakeup.reallocations, 274u);
+  EXPECT_EQ(wakeup.plans, 273u);
+  const auto polled = run_enc_dec_corun(Driving::PollEverySwitch);
+  EXPECT_EQ(polled.cycles, wakeup.cycles);
+  EXPECT_EQ(polled.rotations, wakeup.rotations);
+  EXPECT_EQ(polled.reallocations, 40'629u);
+  EXPECT_EQ(polled.plans, 274u);
 }
 
 class PlanCache : public ::testing::Test {

@@ -32,7 +32,9 @@ SiLibrary random_library(rispp::util::Xoshiro256& rng) {
   const std::size_t atoms = 2 + rng.below(4);
   std::vector<rispp::isa::AtomInfo> infos;
   for (std::size_t a = 0; a < atoms; ++a) {
-    infos.push_back({.name = "A" + std::to_string(a),
+    std::string name = "A";
+    name += std::to_string(a);
+    infos.push_back({.name = std::move(name),
                      .hardware = {},
                      .rotatable = true});
     // A real transfer size so manager-level properties rotate over nonzero
@@ -61,7 +63,9 @@ SiLibrary random_library(rispp::util::Xoshiro256& rng) {
       options.push_back({mol, std::max<std::uint32_t>(cycles, 1)});
       cycles = std::max<std::uint32_t>(cycles / 2, 1);  // later = faster-ish
     }
-    list.emplace_back("S" + std::to_string(s), sw, std::move(options));
+    std::string name = "S";
+    name += std::to_string(s);
+    list.emplace_back(std::move(name), sw, std::move(options));
   }
   return SiLibrary(std::move(cat), std::move(list));
 }

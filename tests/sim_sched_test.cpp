@@ -43,7 +43,9 @@ void add_stress_tasks(Simulator& sim, const SiLibrary& lib, int count) {
       }
       tr.push_back(TraceOp::release(t % 2 ? satd : dct));
     }
-    sim.add_task({"t" + std::to_string(t), std::move(tr)});
+    std::string name = "t";
+    name += std::to_string(t);
+    sim.add_task({std::move(name), std::move(tr)});
   }
 }
 

@@ -184,8 +184,12 @@ TEST(Dot, RendersBlocksEdgesAndHighlights) {
   EXPECT_NE(dot.find("penwidth=3"), std::string::npos);     // highlight
   EXPECT_NE(dot.find("->"), std::string::npos);
   // Every block appears.
-  for (rispp::cfg::BlockId b = 0; b < s.graph.block_count(); ++b)
-    EXPECT_NE(dot.find("b" + std::to_string(b) + " ["), std::string::npos);
+  for (rispp::cfg::BlockId b = 0; b < s.graph.block_count(); ++b) {
+    std::string node = "b";
+    node += std::to_string(b);
+    node += " [";
+    EXPECT_NE(dot.find(node), std::string::npos);
+  }
 }
 
 }  // namespace

@@ -1,10 +1,17 @@
-/// rispp_report — renders and diffs versioned run reports:
+/// rispp_report — builds, renders and diffs versioned run reports:
 ///
+///   rispp_report profile [--scenario=LABEL] <trace.csv>
 ///   rispp_report show <report.json>
 ///   rispp_report diff <golden.json> <candidate.json> [--tol=PATTERN=REL]...
 ///
+/// `profile` replays a CSV trace (`--trace-out=<file>.csv` on the
+/// instrumented benches) through obs::Profiler and prints its run report:
+/// the same bytes a live `--report-out=` run writes, names taken from the
+/// CSV's name columns. LABEL fills the report's `scenario` field.
+///
 /// `show` prints the report human-readably: per-task cycle-attribution
-/// buckets, per-SI latency digests, port economics, per-AC occupancy.
+/// buckets, per-SI latency digests, the upgrade staircase, port economics,
+/// per-AC occupancy and the event counts.
 ///
 /// `diff` compares two reports structurally and numerically. A leaf whose
 /// dotted path contains PATTERN may drift by the relative tolerance REL
@@ -23,6 +30,8 @@
 #include <string>
 #include <vector>
 
+#include "rispp/obs/csv_trace.hpp"
+#include "rispp/obs/profiler.hpp"
 #include "rispp/obs/report.hpp"
 #include "rispp/util/table.hpp"
 
@@ -41,8 +50,12 @@ std::string slurp(const std::string& path) {
 std::string pct(double x) { return TextTable::num(x * 100, 2) + "%"; }
 
 std::string bound(const rispp::util::PercentileBound& b) {
-  return "[" + TextTable::num(b.lower, 0) + ", " + TextTable::num(b.upper, 0) +
-         ")";
+  std::string s = "[";
+  s += TextTable::num(b.lower, 0);
+  s += ", ";
+  s += TextTable::num(b.upper, 0);
+  s += ")";
+  return s;
 }
 
 void add_digest_row(TextTable& t, const std::string& label,
@@ -54,6 +67,16 @@ void add_digest_row(TextTable& t, const std::string& label,
   t.add_row({label, std::to_string(d.count), TextTable::num(d.mean, 1),
              std::to_string(d.min), std::to_string(d.max), bound(d.p50),
              bound(d.p90), bound(d.p99)});
+}
+
+int profile(const std::string& path, const std::string& scenario) {
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error("cannot open trace file: " + path);
+  rispp::obs::TraceMeta meta;
+  const auto events = rispp::obs::read_csv_trace(in, &meta);
+  std::cout << rispp::obs::write_report(
+      rispp::obs::Profiler::profile(events, meta, scenario));
+  return 0;
 }
 
 int show(const std::string& path) {
@@ -91,8 +114,22 @@ int show(const std::string& path) {
     if (s.sw.count) add_digest_row(sis, "  " + s.name + " (sw)", s.sw);
     if (s.forecast_lead.count)
       add_digest_row(sis, "  " + s.name + " (forecast lead)", s.forecast_lead);
+    if (s.upgrade_gap.count)
+      add_digest_row(sis, "  " + s.name + " (forecast to upgrade)",
+                     s.upgrade_gap);
   }
   std::cout << sis.str() << "\n";
+
+  TextTable staircase{"SI", "invocations", "hw", "sw", "upgrades",
+                      "downgrades"};
+  staircase.set_title(
+      "Upgrade staircase (latency changes; downgrades = Atoms lost)");
+  for (const auto& s : r.sis)
+    staircase.add_row({s.name, std::to_string(s.all.count),
+                       std::to_string(s.hw.count), std::to_string(s.sw.count),
+                       std::to_string(s.upgrades),
+                       std::to_string(s.downgrades)});
+  std::cout << staircase.str() << "\n";
 
   TextTable port{"metric", "n", "mean", "min", "max", "p50", "p90", "p99"};
   port.set_title("Reconfiguration port (busy " +
@@ -159,7 +196,8 @@ int diff(const std::string& golden_path, const std::string& candidate_path,
 
 int main(int argc, char** argv) try {
   const std::string usage =
-      "usage: rispp_report show <report.json>\n"
+      "usage: rispp_report profile [--scenario=LABEL] <trace.csv>\n"
+      "       rispp_report show <report.json>\n"
       "       rispp_report diff <golden.json> <candidate.json> "
       "[--tol=PATTERN=REL]...\n";
   if (argc < 2) {
@@ -167,6 +205,18 @@ int main(int argc, char** argv) try {
     return 2;
   }
   const std::string cmd = argv[1];
+  if (cmd == "profile") {
+    std::string scenario;
+    std::vector<std::string> paths;
+    for (int i = 2; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg.rfind("--scenario=", 0) == 0)
+        scenario = arg.substr(11);
+      else
+        paths.push_back(arg);
+    }
+    if (paths.size() == 1) return profile(paths[0], scenario);
+  }
   if (cmd == "show" && argc == 3) return show(argv[2]);
   if (cmd == "diff" && argc >= 4) {
     std::vector<rispp::obs::DiffTolerance> tols;
