@@ -18,6 +18,7 @@
 #include "rispp/exp/platform.hpp"
 #include "rispp/exp/standard_eval.hpp"
 #include "rispp/rt/policy.hpp"
+#include "rispp/util/parse.hpp"
 #include "rispp/util/table.hpp"
 
 namespace {
@@ -46,7 +47,7 @@ int main(int argc, char** argv) try {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--jobs=", 0) == 0)
-      jobs = static_cast<unsigned>(std::stoul(arg.substr(7)));
+      jobs = rispp::util::require_number<unsigned>(arg.substr(7), "--jobs");
   }
 
   struct Case {

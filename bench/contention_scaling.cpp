@@ -35,6 +35,7 @@
 #include "rispp/isa/si_library.hpp"
 #include "rispp/obs/event.hpp"
 #include "rispp/sim/simulator.hpp"
+#include "rispp/util/parse.hpp"
 #include "rispp/util/stats.hpp"
 #include "rispp/util/table.hpp"
 #include "rispp/workload/trace_source.hpp"
@@ -216,9 +217,11 @@ int main(int argc, char** argv) try {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--tasks=", 0) == 0)
-      max_tasks = std::stoull(arg.substr(8));
+      max_tasks = rispp::util::require_number<std::uint64_t>(arg.substr(8),
+                                                             "--tasks");
     else if (arg.rfind("--events=", 0) == 0)
-      events = std::stoull(arg.substr(9));
+      events = rispp::util::require_number<std::uint64_t>(arg.substr(9),
+                                                          "--events");
     else if (arg.rfind("--out=", 0) == 0)
       out_path = arg.substr(6);
     else if (arg == "--quick")

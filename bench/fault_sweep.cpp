@@ -21,6 +21,7 @@
 #include "rispp/bench/meta_block.hpp"
 #include "rispp/exp/platform.hpp"
 #include "rispp/exp/standard_eval.hpp"
+#include "rispp/util/parse.hpp"
 #include "rispp/util/table.hpp"
 
 int main(int argc, char** argv) try {
@@ -31,7 +32,7 @@ int main(int argc, char** argv) try {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--jobs=", 0) == 0)
-      jobs = static_cast<unsigned>(std::stoul(arg.substr(7)));
+      jobs = rispp::util::require_number<unsigned>(arg.substr(7), "--jobs");
     else if (arg.rfind("--out=", 0) == 0)
       out_path = arg.substr(6);
     else {

@@ -19,6 +19,7 @@
 #include "rispp/exp/runner.hpp"
 #include "rispp/util/csv.hpp"
 #include "rispp/util/error.hpp"
+#include "rispp/util/parse.hpp"
 #include "rispp/util/table.hpp"
 
 namespace {
@@ -53,7 +54,7 @@ int main(int argc, char** argv) try {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--jobs=", 0) == 0)
-      jobs = static_cast<unsigned>(std::stoul(arg.substr(7)));
+      jobs = rispp::util::require_number<unsigned>(arg.substr(7), "--jobs");
   }
 
   const auto platform = rispp::exp::Platform::builtin("h264");

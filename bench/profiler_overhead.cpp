@@ -18,6 +18,7 @@
 #include "rispp/obs/profiler.hpp"
 #include "rispp/sim/observe.hpp"
 #include "rispp/sim/simulator.hpp"
+#include "rispp/util/parse.hpp"
 #include "rispp/util/table.hpp"
 #include "rispp/workload/trace_source.hpp"
 
@@ -52,7 +53,8 @@ int main(int argc, char** argv) try {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--out=", 0) == 0) out_path = argv[i] + 6;
-    if (arg.rfind("--reps=", 0) == 0) reps = std::stoi(arg.substr(7));
+    if (arg.rfind("--reps=", 0) == 0)
+      reps = rispp::util::require_number<int>(arg.substr(7), "--reps");
   }
 
   const auto lib = rispp::isa::SiLibrary::h264();

@@ -39,6 +39,7 @@
 #include "rispp/exp/sink.hpp"
 #include "rispp/isa/io.hpp"
 #include "rispp/util/error.hpp"
+#include "rispp/util/parse.hpp"
 #include "rispp/util/table.hpp"
 
 namespace {
@@ -109,7 +110,8 @@ int main(int argc, char** argv) try {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--out=", 0) == 0) out_path = argv[i] + 6;
-    if (arg.rfind("--reps=", 0) == 0) reps = std::stoi(arg.substr(7));
+    if (arg.rfind("--reps=", 0) == 0)
+      reps = rispp::util::require_number<int>(arg.substr(7), "--reps");
   }
 
   // The library text file a user-level sweep would start from.

@@ -29,6 +29,7 @@
 #include "rispp/exp/sink.hpp"
 #include "rispp/exp/standard_eval.hpp"
 #include "rispp/obs/telemetry.hpp"
+#include "rispp/util/parse.hpp"
 #include "rispp/util/table.hpp"
 
 namespace {
@@ -77,9 +78,10 @@ int main(int argc, char** argv) try {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--out=", 0) == 0) out_path = argv[i] + 6;
-    if (arg.rfind("--reps=", 0) == 0) reps = std::stoi(arg.substr(7));
+    if (arg.rfind("--reps=", 0) == 0)
+      reps = rispp::util::require_number<int>(arg.substr(7), "--reps");
     if (arg.rfind("--jobs=", 0) == 0)
-      jobs = static_cast<unsigned>(std::stoul(arg.substr(7)));
+      jobs = rispp::util::require_number<unsigned>(arg.substr(7), "--jobs");
   }
 
   const auto platform = rispp::exp::Platform::builtin("h264_frame");

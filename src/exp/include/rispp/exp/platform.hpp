@@ -33,15 +33,17 @@ class Platform {
                                               std::string name = "custom");
 
   /// One of the built-in case-study libraries: "h264", "h264_with_sad",
-  /// "h264_frame". Each is built once per process, on first use, and every
-  /// call returns that same snapshot. Throws util::PreconditionError
+  /// "h264_frame", "aes". Each is built once per process, on first use, and
+  /// every call returns that same snapshot. Throws util::PreconditionError
   /// listing the valid names.
   static std::shared_ptr<const Platform> builtin(const std::string& name);
   static std::vector<std::string> builtin_names();
 
-  /// Parses an SI-library text file (isa/io.hpp format) — once, up front;
-  /// sweep points never touch the parser again.
-  static std::shared_ptr<const Platform> from_file(const std::string& path);
+  /// Resolves the `NAME|FILE` library argument every tool takes: a built-in
+  /// name, else the path of an SI-library text file (isa/io.hpp format),
+  /// parsed once, up front, and labelled with that path. Throws
+  /// util::PreconditionError when `spec` is neither.
+  static std::shared_ptr<const Platform> resolve(const std::string& spec);
 
   const std::string& name() const { return name_; }
   const isa::SiLibrary& library() const { return *lib_; }

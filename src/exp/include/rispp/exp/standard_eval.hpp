@@ -16,7 +16,6 @@
 ///   mb           macroblocks per frame / per run     (default 60)
 ///   selector     selection-policy factory key        (default "greedy")
 ///   replacement  replacement-policy factory key      (default "lru")
-///   driving      wakeups | poll-every-switch         (default wakeups)
 ///   bandwidth    reconfiguration port MB/s           (default Table 1)
 ///   cost_factor  RtConfig::rotation_cost_factor      (default 0)
 ///   cancel_stale 0 | 1                               (default 0)
@@ -76,9 +75,15 @@
 /// additionally report rotations_failed, rotation_retries, acs_quarantined;
 /// fault-free points keep the exact pre-fault column set.
 ///
+/// Every number is read under the one number rule (util/parse.hpp), range-
+/// checked to its field: containers=-1 is an error, not 2^32-1 containers.
+///
 /// `sim_config_for` is split out so batch drivers can validate a whole plan
-/// (factory keys, driving spellings, numeric ranges) up front — a typo in a
-/// grid axis fails before any worker spawns, not deep inside point 37.
+/// (factory keys, numeric ranges) up front — a typo in a grid axis fails
+/// before any worker spawns, not deep inside point 37.
+
+#include <array>
+#include <string_view>
 
 #include "rispp/exp/platform.hpp"
 #include "rispp/exp/runner.hpp"
@@ -92,8 +97,19 @@ namespace rispp::exp {
 /// evaluators.
 inline constexpr const char* kSimEvaluatorId = "rispp.sim_eval/1";
 
+/// The run knobs: the keys sim_config_for turns into the SimConfig itself
+/// (the other keys pick the workload and the library). They are the grid
+/// axes of rispp_sweep and the only run flags of `rispp_workload simulate`
+/// (`--fault-p=` for fault_p); sim_config_for holds their one set of
+/// defaults and their one validation.
+inline constexpr std::array<std::string_view, 14> kSimKnobs = {
+    "containers",   "quantum",      "selector",      "replacement",
+    "cost_factor",  "cancel_stale", "bandwidth",     "fault_p",
+    "fault_poison", "fault_degrade", "fault_stretch", "fault_seed",
+    "retries",      "backoff"};
+
 /// Builds (and range-checks) the SimConfig a point requests. Throws
-/// util::Error subclasses on unknown policy keys / driving spellings.
+/// util::Error subclasses on unknown policy keys and malformed numbers.
 sim::SimConfig sim_config_for(const SweepPoint& point);
 
 /// Validates every point of a sweep against the standard evaluator's

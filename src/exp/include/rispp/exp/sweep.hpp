@@ -32,8 +32,16 @@ struct SweepPoint {
   /// Value of `key`; throws util::PreconditionError when absent.
   const std::string& at(std::string_view key) const;
   std::string get(std::string_view key, std::string_view fallback) const;
+  /// Value of `key` as a number of the named type under the one number
+  /// rule (util/parse.hpp), or `fallback` when absent; throws
+  /// util::PreconditionError naming the parameter on any other value.
   std::uint64_t get_u64(std::string_view key, std::uint64_t fallback) const;
+  std::uint32_t get_u32(std::string_view key, std::uint32_t fallback) const;
   double get_f64(std::string_view key, double fallback) const;
+
+ private:
+  template <typename T>
+  T number(std::string_view key, T fallback) const;
 };
 
 /// A sweep plan: either a cartesian grid over axes (last axis fastest) or an

@@ -1,12 +1,27 @@
 #include "rispp/exp/platform.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <utility>
 
+#include "rispp/aes/graph.hpp"
 #include "rispp/isa/io.hpp"
 #include "rispp/util/error.hpp"
 
 namespace rispp::exp {
+
+namespace {
+
+std::string known_builtins() {
+  std::string known;
+  for (const auto& n : Platform::builtin_names()) {
+    if (!known.empty()) known += ", ";
+    known += n;
+  }
+  return known;
+}
+
+}  // namespace
 
 Platform::Platform(std::string name, std::shared_ptr<const isa::SiLibrary> lib)
     : name_(std::move(name)), lib_(std::move(lib)) {
@@ -23,7 +38,7 @@ std::shared_ptr<const Platform> Platform::make(isa::SiLibrary lib,
 }
 
 std::vector<std::string> Platform::builtin_names() {
-  return {"h264", "h264_with_sad", "h264_frame"};
+  return {"h264", "h264_with_sad", "h264_frame", "aes"};
 }
 
 std::shared_ptr<const Platform> Platform::builtin(const std::string& name) {
@@ -42,21 +57,26 @@ std::shared_ptr<const Platform> Platform::builtin(const std::string& name) {
     static const auto p = make(isa::SiLibrary::h264_frame(), "h264_frame");
     return p;
   }
-  std::string known;
-  for (const auto& n : builtin_names()) {
-    if (!known.empty()) known += ", ";
-    known += n;
+  if (name == "aes") {
+    static const auto p = make(aes::si_library(), "aes");
+    return p;
   }
   throw util::PreconditionError("unknown builtin platform '" + name +
-                                "' (known: " + known + ")");
+                                "' (known: " + known_builtins() + ")");
 }
 
-std::shared_ptr<const Platform> Platform::from_file(const std::string& path) {
-  std::ifstream in(path);
+std::shared_ptr<const Platform> Platform::resolve(const std::string& spec) {
+  const auto names = builtin_names();
+  if (std::find(names.begin(), names.end(), spec) != names.end())
+    return builtin(spec);
+  // Parsed once, up front; sweep points never touch the parser again.
+  std::ifstream in(spec);
   if (!in.good())
-    throw util::PreconditionError("cannot open SI library file '" + path +
-                                  "'");
-  return make(isa::parse_si_library(in), path);
+    throw util::PreconditionError("'" + spec +
+                                  "' is neither a built-in library (" +
+                                  known_builtins() +
+                                  ") nor a readable SI library file");
+  return make(isa::parse_si_library(in), spec);
 }
 
 const std::vector<isa::ParetoPoint>& Platform::pareto(

@@ -3,24 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <ostream>
 
 #include "rispp/obs/json.hpp"
 #include "rispp/util/csv.hpp"
 #include "rispp/util/error.hpp"
+#include "rispp/util/parse.hpp"
 
 namespace rispp::exp {
 
 namespace {
-
-/// Full-string numeric parse; axis cells like "enc" simply don't fold.
-bool parse_number(const std::string& s, double& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  out = std::strtod(s.c_str(), &end);
-  return end != s.c_str() && *end == '\0' && std::isfinite(out);
-}
 
 /// Fixed-format double token with trailing zeros trimmed — the same recipe
 /// as the run-report writer, so summaries are byte-stable across platforms.
@@ -58,11 +50,13 @@ StreamingAggregator::Metric& StreamingAggregator::metric_for(
 void StreamingAggregator::on_row(const ResultRow& row) {
   ++rows_;
   for (const auto& [key, value] : row.cells) {
-    double x = 0.0;
-    if (!parse_number(value, x)) {
+    // The one number rule; axis cells like "enc" simply don't fold.
+    const auto parsed = util::parse_number<double>(value);
+    if (!parsed) {
       ++metric_for(key).non_numeric;
       continue;
     }
+    const double x = *parsed;
     auto& m = metric_for(key);
     m.acc.add(x);
     if (x >= 0.0)

@@ -157,8 +157,7 @@ isa::GeneratorConfig generator_config_for(const SweepPoint& point) {
     cfg.bitstream = isa::Distribution::parse(*spec);
   if (const auto* spec = point.find("lib_speedup"))
     cfg.speedup = isa::Distribution::parse(*spec);
-  cfg.max_count =
-      static_cast<atom::Count>(point.get_u64("lib_max_count", 4));
+  cfg.max_count = point.get_u32("lib_max_count", 4);
   cfg.validate();
   return cfg;
 }
@@ -180,8 +179,7 @@ workload::GeneratedWorkloadParams generated_params_for(
 
 sim::SimConfig sim_config_for(const SweepPoint& point) {
   sim::SimConfig cfg;
-  cfg.rt.atom_containers =
-      static_cast<unsigned>(point.get_u64("containers", 10));
+  cfg.rt.atom_containers = point.get_u32("containers", 10);
   cfg.rt.selection_policy = point.get("selector", "greedy");
   cfg.rt.replacement_policy = point.get("replacement", "lru");
   cfg.rt.rotation_cost_factor = point.get_f64("cost_factor", 0.0);
@@ -199,11 +197,9 @@ sim::SimConfig sim_config_for(const SweepPoint& point) {
         point.get_f64("fault_p", 0.0), point.get_f64("fault_poison", 0.0),
         point.get_f64("fault_degrade", 0.0),
         point.get_f64("fault_stretch", 2.0));
-  cfg.rt.max_rotation_retries =
-      static_cast<unsigned>(point.get_u64("retries", 3));
+  cfg.rt.max_rotation_retries = point.get_u32("retries", 3);
   cfg.rt.retry_backoff_cycles = point.get_u64("backoff", 1000);
   cfg.quantum = point.get_u64("quantum", 10000);
-  cfg.driving = sim::parse_driving(point.get("driving", "wakeups"));
 
   const double jitter = point.get_f64("jitter", 0.0);
   RISPP_REQUIRE(jitter >= 0.0 && jitter < 1.0, "jitter must be in [0,1)");

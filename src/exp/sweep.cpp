@@ -1,9 +1,9 @@
 #include "rispp/exp/sweep.hpp"
 
-#include <cstdlib>
 #include <utility>
 
 #include "rispp/util/error.hpp"
+#include "rispp/util/parse.hpp"
 
 namespace rispp::exp {
 
@@ -27,27 +27,26 @@ std::string SweepPoint::get(std::string_view key,
   return v ? *v : std::string(fallback);
 }
 
+template <typename T>
+T SweepPoint::number(std::string_view key, T fallback) const {
+  const auto* v = find(key);
+  return v ? util::require_number<T>(
+                 *v, "sweep parameter '" + std::string(key) + "'")
+           : fallback;
+}
+
 std::uint64_t SweepPoint::get_u64(std::string_view key,
                                   std::uint64_t fallback) const {
-  const auto* v = find(key);
-  if (!v) return fallback;
-  char* end = nullptr;
-  const auto parsed = std::strtoull(v->c_str(), &end, 10);
-  if (end == v->c_str() || *end != '\0')
-    throw util::PreconditionError("sweep parameter '" + std::string(key) +
-                                  "'='" + *v + "' is not an unsigned integer");
-  return parsed;
+  return number(key, fallback);
+}
+
+std::uint32_t SweepPoint::get_u32(std::string_view key,
+                                  std::uint32_t fallback) const {
+  return number(key, fallback);
 }
 
 double SweepPoint::get_f64(std::string_view key, double fallback) const {
-  const auto* v = find(key);
-  if (!v) return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v->c_str(), &end);
-  if (end == v->c_str() || *end != '\0')
-    throw util::PreconditionError("sweep parameter '" + std::string(key) +
-                                  "'='" + *v + "' is not a number");
-  return parsed;
+  return number(key, fallback);
 }
 
 Sweep& Sweep::axis(std::string name, std::vector<std::string> values) {

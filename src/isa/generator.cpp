@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "rispp/util/error.hpp"
+#include "rispp/util/parse.hpp"
 
 namespace rispp::isa {
 
@@ -19,15 +20,9 @@ std::string fmt_param(double v) {
 }
 
 double parse_param(const std::string& spec, const std::string& tok) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(tok, &pos);
-    if (pos != tok.size()) throw std::invalid_argument(tok);
-    return v;
-  } catch (const std::exception&) {
-    throw util::PreconditionError("invalid distribution parameter '" + tok +
-                                  "' in '" + spec + "'");
-  }
+  if (const auto v = util::parse_number<double>(tok)) return *v;
+  throw util::PreconditionError("invalid distribution parameter '" + tok +
+                                "' in '" + spec + "'");
 }
 
 }  // namespace

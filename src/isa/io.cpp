@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "rispp/util/error.hpp"
+#include "rispp/util/parse.hpp"
 
 namespace rispp::isa {
 
@@ -47,23 +48,13 @@ std::pair<std::string, std::string> split_kv(const Line& line,
   return {tok.substr(0, eq), tok.substr(eq + 1)};
 }
 
-std::uint64_t parse_u64(const Line& line, const std::string& key,
-                        const std::string& value) {
-  // std::stoull accepts a leading sign and wraps "-1" to 2^64-1 without
-  // throwing; require a digit-leading value (the trace parser's rule) so
-  // signed input is a parse error, not a silently-huge count.
-  if (value.empty() || value.front() < '0' || value.front() > '9')
-    throw ParseError(line.number,
-                     "invalid number for " + key + ": '" + value + "'");
-  try {
-    std::size_t pos = 0;
-    const auto v = std::stoull(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    throw ParseError(line.number,
-                     "invalid number for " + key + ": '" + value + "'");
-  }
+/// Reads `value` as a T under the one number rule (util/parse.hpp).
+template <typename T>
+T parse_num(const Line& line, const std::string& key,
+            const std::string& value) {
+  if (const auto v = util::parse_number<T>(value)) return *v;
+  throw ParseError(line.number,
+                   "invalid number for " + key + ": '" + value + "'");
 }
 
 AtomCatalog parse_catalog(const std::vector<Line>& lines, std::size_t& i) {
@@ -96,12 +87,12 @@ AtomCatalog parse_catalog(const std::vector<Line>& lines, std::size_t& i) {
       } else {
         const auto [key, value] = split_kv(line, tok);
         if (key == "slices")
-          info.hardware.slices = static_cast<unsigned>(parse_u64(line, key, value));
+          info.hardware.slices = parse_num<unsigned>(line, key, value);
         else if (key == "luts")
-          info.hardware.luts = static_cast<unsigned>(parse_u64(line, key, value));
+          info.hardware.luts = parse_num<unsigned>(line, key, value);
         else if (key == "bitstream")
           info.hardware.bitstream_bytes =
-              static_cast<std::uint32_t>(parse_u64(line, key, value));
+              parse_num<std::uint32_t>(line, key, value);
         else
           throw ParseError(line.number, "unknown atom attribute: " + key);
       }
@@ -121,7 +112,7 @@ SpecialInstruction parse_si(const std::vector<Line>& lines, std::size_t& i,
   for (std::size_t t = 2; t < header.tokens.size(); ++t) {
     const auto [key, value] = split_kv(header, header.tokens[t]);
     if (key == "software")
-      software = static_cast<std::uint32_t>(parse_u64(header, key, value));
+      software = parse_num<std::uint32_t>(header, key, value);
     else
       throw ParseError(header.number, "unknown si attribute: " + key);
   }
@@ -150,13 +141,13 @@ SpecialInstruction parse_si(const std::vector<Line>& lines, std::size_t& i,
     for (std::size_t t = 1; t < line.tokens.size(); ++t) {
       const auto [key, value] = split_kv(line, line.tokens[t]);
       if (key == "cycles") {
-        opt.cycles = static_cast<std::uint32_t>(parse_u64(line, key, value));
+        opt.cycles = parse_num<std::uint32_t>(line, key, value);
         have_cycles = true;
       } else {
         if (!catalog.contains(key))
           throw ParseError(line.number, "unknown atom in molecule: " + key);
         opt.atoms.set(catalog.index_of(key),
-                      static_cast<atom::Count>(parse_u64(line, key, value)));
+                      parse_num<atom::Count>(line, key, value));
       }
     }
     if (!have_cycles)

@@ -111,12 +111,6 @@ class Writer {
 
 void write_chrome_trace(std::ostream& out, const std::vector<Event>& events,
                         const TraceMeta& meta) {
-  write_chrome_trace(out, events, meta, ChromeTraceOptions{});
-}
-
-void write_chrome_trace(std::ostream& out, const std::vector<Event>& events,
-                        const TraceMeta& meta,
-                        const ChromeTraceOptions& options) {
   const double mhz = meta.clock_mhz > 0 ? meta.clock_mhz : 100.0;
 
   // Track extents: count tasks/containers actually referenced so traces
@@ -226,54 +220,52 @@ void write_chrome_trace(std::ostream& out, const std::vector<Event>& events,
     }
   }
 
-  if (options.counter_tracks) {
-    // Port counters: occupancy as a 0/1 square wave at transfer edges, and
-    // queued-booking depth (+1 when booked, −1 at start or cancellation).
-    if (any_rotation) {
-      std::vector<std::pair<std::uint64_t, int>> busy, queue;
-      for (const auto& e : events) {
-        if (e.kind != EventKind::RotationStarted) continue;
-        queue.emplace_back(e.prev_cycles, +1);
-        if (const auto it = cancelled.find({e.container, e.at});
-            it != cancelled.end()) {
-          queue.emplace_back(it->second, -1);
-        } else {
-          queue.emplace_back(e.at, -1);
-          busy.emplace_back(e.at, +1);
-          busy.emplace_back(e.at + e.cycles, -1);
-        }
-      }
-      std::stable_sort(busy.begin(), busy.end());
-      std::stable_sort(queue.begin(), queue.end());
-      int level = 0;
-      for (const auto& [at, delta] : busy) {
-        level += delta;
-        w.counter("port busy", us(at, mhz),
-                  "\"busy\":" + std::to_string(level));
-      }
-      level = 0;
-      for (const auto& [at, delta] : queue) {
-        level += delta;
-        w.counter("port queue", us(at, mhz),
-                  "\"queued\":" + std::to_string(level));
+  // Port counters: occupancy as a 0/1 square wave at transfer edges, and
+  // queued-booking depth (+1 when booked, −1 at start or cancellation).
+  if (any_rotation) {
+    std::vector<std::pair<std::uint64_t, int>> busy, queue;
+    for (const auto& e : events) {
+      if (e.kind != EventKind::RotationStarted) continue;
+      queue.emplace_back(e.prev_cycles, +1);
+      if (const auto it = cancelled.find({e.container, e.at});
+          it != cancelled.end()) {
+        queue.emplace_back(it->second, -1);
+      } else {
+        queue.emplace_back(e.at, -1);
+        busy.emplace_back(e.at, +1);
+        busy.emplace_back(e.at + e.cycles, -1);
       }
     }
-    // Running cycle-attribution totals, sampled at task-switch boundaries.
-    if (any_switch) {
-      Profiler profiler(meta);
-      for (const auto& e : events) {
-        profiler.on_event(e);
-        if (e.kind != EventKind::TaskSwitch) continue;
-        const auto b = profiler.running_totals();
-        w.counter("cycle buckets", us(e.at, mhz),
-                  "\"sw_exec\":" + std::to_string(b.sw_exec) +
-                      ",\"hw_exec\":" + std::to_string(b.hw_exec) +
-                      ",\"plain_compute\":" +
-                      std::to_string(b.plain_compute) +
-                      ",\"rotation_stall\":" +
-                      std::to_string(b.rotation_stall) +
-                      ",\"idle\":" + std::to_string(b.idle));
-      }
+    std::stable_sort(busy.begin(), busy.end());
+    std::stable_sort(queue.begin(), queue.end());
+    int level = 0;
+    for (const auto& [at, delta] : busy) {
+      level += delta;
+      w.counter("port busy", us(at, mhz),
+                "\"busy\":" + std::to_string(level));
+    }
+    level = 0;
+    for (const auto& [at, delta] : queue) {
+      level += delta;
+      w.counter("port queue", us(at, mhz),
+                "\"queued\":" + std::to_string(level));
+    }
+  }
+  // Running cycle-attribution totals, sampled at task-switch boundaries.
+  if (any_switch) {
+    Profiler profiler(meta);
+    for (const auto& e : events) {
+      profiler.on_event(e);
+      if (e.kind != EventKind::TaskSwitch) continue;
+      const auto b = profiler.running_totals();
+      w.counter("cycle buckets", us(e.at, mhz),
+                "\"sw_exec\":" + std::to_string(b.sw_exec) +
+                    ",\"hw_exec\":" + std::to_string(b.hw_exec) +
+                    ",\"plain_compute\":" +
+                    std::to_string(b.plain_compute) +
+                    ",\"rotation_stall\":" +
+                    std::to_string(b.rotation_stall) +
+                    ",\"idle\":" + std::to_string(b.idle));
     }
   }
   w.close();

@@ -6,6 +6,7 @@
 
 #include "rispp/util/csv.hpp"
 #include "rispp/util/error.hpp"
+#include "rispp/util/parse.hpp"
 
 namespace rispp::obs {
 
@@ -48,23 +49,12 @@ std::vector<std::string> split_row(const std::string& line, std::size_t row) {
   return cells;
 }
 
-std::int64_t to_i64(const std::string& s, std::size_t row) {
-  try {
-    std::size_t pos = 0;
-    const auto v = std::stoll(s, &pos);
-    RISPP_REQUIRE(pos == s.size(), "trailing garbage");
-    return v;
-  } catch (const std::exception&) {
-    throw util::PreconditionError("trace CSV row " + std::to_string(row) +
-                                  ": invalid number '" + s + "'");
-  }
-}
-
-std::uint64_t to_u64(const std::string& s, std::size_t row) {
-  const auto v = to_i64(s, row);
-  RISPP_REQUIRE(v >= 0, "trace CSV row " + std::to_string(row) +
-                            ": negative value '" + s + "'");
-  return static_cast<std::uint64_t>(v);
+/// Reads cell `s` as a T under the one number rule (util/parse.hpp).
+template <typename T>
+T cell(const std::string& s, std::size_t row) {
+  if (const auto v = util::parse_number<T>(s)) return *v;
+  throw util::PreconditionError("trace CSV row " + std::to_string(row) +
+                                ": invalid number '" + s + "'");
 }
 
 void learn_name(std::vector<std::string>& names, std::int64_t index,
@@ -106,16 +96,16 @@ std::vector<Event> read_csv_trace(std::istream& in, TraceMeta* meta) {
                                           ": expected 12 cells, got " +
                                           std::to_string(cells.size()));
     Event e;
-    e.at = to_u64(cells[0], row);
+    e.at = cell<std::uint64_t>(cells[0], row);
     RISPP_REQUIRE(kind_from_string(cells[1], e.kind),
                   "trace CSV row " + std::to_string(row) +
                       ": unknown event kind '" + cells[1] + "'");
-    e.task = static_cast<std::int32_t>(to_i64(cells[2], row));
-    e.container = static_cast<std::int32_t>(to_i64(cells[3], row));
-    e.si = to_i64(cells[4], row);
-    e.atom = to_i64(cells[5], row);
-    e.cycles = to_u64(cells[6], row);
-    e.prev_cycles = to_u64(cells[7], row);
+    e.task = cell<std::int32_t>(cells[2], row);
+    e.container = cell<std::int32_t>(cells[3], row);
+    e.si = cell<std::int64_t>(cells[4], row);
+    e.atom = cell<std::int64_t>(cells[5], row);
+    e.cycles = cell<std::uint64_t>(cells[6], row);
+    e.prev_cycles = cell<std::uint64_t>(cells[7], row);
     e.hardware = cells[8] == "1";
     if (meta) {
       learn_name(meta->task_names, e.task, cells[9]);

@@ -21,18 +21,11 @@
 
 namespace rispp::obs {
 
-struct ChromeTraceOptions {
-  /// Emit Perfetto counter tracks: "port busy" (0/1 at transfer edges),
-  /// "port queue" (queued bookings, +1 at booking, −1 at start/cancel) and
-  /// "cycle buckets" (running per-bucket totals sampled at task switches,
-  /// from the Profiler). Counters are appended after the span/instant
-  /// events, each series sorted by timestamp.
-  bool counter_tracks = true;
-};
-
-void write_chrome_trace(std::ostream& out, const std::vector<Event>& events,
-                        const TraceMeta& meta,
-                        const ChromeTraceOptions& options);
+/// Writes the trace, then the Perfetto counter tracks: "port busy" (0/1 at
+/// transfer edges), "port queue" (queued bookings, +1 at booking, −1 at
+/// start/cancel) and "cycle buckets" (running per-bucket totals sampled at
+/// task switches, from the Profiler). Counters follow the span/instant
+/// events, each series sorted by timestamp.
 void write_chrome_trace(std::ostream& out, const std::vector<Event>& events,
                         const TraceMeta& meta);
 

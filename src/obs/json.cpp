@@ -1,10 +1,9 @@
 #include "rispp/obs/json.hpp"
 
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "rispp/util/error.hpp"
+#include "rispp/util/parse.hpp"
 
 namespace rispp::obs::json {
 
@@ -16,10 +15,11 @@ Value Value::boolean(bool b) {
 }
 
 Value Value::number(std::string token) {
-  RISPP_REQUIRE(!token.empty(), "empty number token");
+  const auto num = util::parse_number<double>(token);
+  RISPP_REQUIRE(num.has_value(), "not a finite number: '" + token + "'");
   Value v;
   v.kind_ = Kind::Number;
-  v.num_ = std::strtod(token.c_str(), nullptr);
+  v.num_ = *num;
   v.text_ = std::move(token);
   return v;
 }
@@ -58,12 +58,12 @@ double Value::as_double() const {
 
 std::uint64_t Value::as_u64() const {
   RISPP_REQUIRE(kind_ == Kind::Number, "JSON value is not a number");
-  return std::strtoull(text_.c_str(), nullptr, 10);
+  return util::require_number<std::uint64_t>(text_, "JSON unsigned integer");
 }
 
 std::int64_t Value::as_i64() const {
   RISPP_REQUIRE(kind_ == Kind::Number, "JSON value is not a number");
-  return std::strtoll(text_.c_str(), nullptr, 10);
+  return util::require_number<std::int64_t>(text_, "JSON signed integer");
 }
 
 const std::string& Value::as_string() const {

@@ -19,8 +19,9 @@
 /// Policies are constructed by key (make_selection_policy /
 /// make_replacement_policy) from one fixed table per policy kind in
 /// policy.cpp; the `--selector=` / `--victim=` CLI switches of the ablation
-/// benches and tools/rispp_explorer resolve against the same table. Adding
-/// a policy means one class plus one table entry (DESIGN.md §7).
+/// benches, the sweep's `selector` / `replacement` axes and
+/// `rispp_workload simulate` resolve against the same table. Adding a
+/// policy means one class plus one table entry (DESIGN.md §7).
 
 #include <memory>
 #include <span>

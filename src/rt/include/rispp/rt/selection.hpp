@@ -6,8 +6,8 @@
 ///
 /// Both selectors implement rt::SelectionPolicy (policy.hpp) and sit in the
 /// policy factory's key table ("greedy" / "exhaustive"), so the
-/// reallocation kernel, the ablation benches and tools/rispp_explorer can
-/// swap them by name.
+/// reallocation kernel, the ablation benches, the sweep's `selector` axis
+/// and `rispp_workload simulate --selector=` can swap them by name.
 ///
 /// The greedy selector works over *upgrade steps*: starting from the empty
 /// configuration it repeatedly applies the (SI, Molecule) upgrade with the

@@ -37,11 +37,6 @@ enum class Driving {
   PollEverySwitch,
 };
 
-const char* to_string(Driving d);
-/// Parses "wakeups" / "poll-every-switch" (throws util::PreconditionError
-/// listing the valid spellings otherwise) — grid axes and CLI flags use it.
-Driving parse_driving(const std::string& key);
-
 /// How run() finds the next runnable task. Scheduling order and results are
 /// identical in both modes (rt_stress/sim_sched tests assert it); only the
 /// per-switch cost differs.
@@ -55,11 +50,6 @@ enum class Scheduler {
   /// Kept for the SchedulerDifferential tests (sim_sched_test).
   LinearScan,
 };
-
-const char* to_string(Scheduler s);
-/// Parses "runnable-ring" / "linear-scan" (throws util::PreconditionError
-/// otherwise).
-Scheduler parse_scheduler(const std::string& key);
 
 struct SimConfig {
   rt::RtConfig rt{};

@@ -1,7 +1,8 @@
 #pragma once
 /// \file trace_io.hpp
-/// \brief Text format for multi-task workload traces — the input of the
-/// rispp_explorer tool and the hand-written scenario files in docs/.
+/// \brief Text format for multi-task workload traces — the input of
+/// `rispp_workload simulate --trace=` and the hand-written scenario files in
+/// docs/.
 ///
 /// Line-oriented, SIs referenced by name against an SiLibrary:
 ///

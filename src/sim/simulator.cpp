@@ -6,36 +6,6 @@
 
 namespace rispp::sim {
 
-const char* to_string(Driving d) {
-  switch (d) {
-    case Driving::Wakeups: return "wakeups";
-    case Driving::PollEverySwitch: return "poll-every-switch";
-  }
-  return "?";
-}
-
-Driving parse_driving(const std::string& key) {
-  if (key == "wakeups") return Driving::Wakeups;
-  if (key == "poll-every-switch") return Driving::PollEverySwitch;
-  throw util::PreconditionError("unknown driving mode '" + key +
-                                "' (valid: wakeups, poll-every-switch)");
-}
-
-const char* to_string(Scheduler s) {
-  switch (s) {
-    case Scheduler::RunnableRing: return "runnable-ring";
-    case Scheduler::LinearScan: return "linear-scan";
-  }
-  return "?";
-}
-
-Scheduler parse_scheduler(const std::string& key) {
-  if (key == "runnable-ring") return Scheduler::RunnableRing;
-  if (key == "linear-scan") return Scheduler::LinearScan;
-  throw util::PreconditionError("unknown scheduler '" + key +
-                                "' (valid: runnable-ring, linear-scan)");
-}
-
 const SiStats& SimResult::si(const std::string& name) const {
   const auto it = per_si.find(name);
   RISPP_REQUIRE(it != per_si.end(), "no stats for SI: " + name);

@@ -4,34 +4,17 @@
 #include <ostream>
 #include <sstream>
 
+#include "rispp/util/parse.hpp"
+
 namespace rispp::sim {
 
 namespace {
 
-std::uint64_t parse_u64(std::size_t line, const std::string& value) {
-  // std::stoull alone is too permissive: it skips leading whitespace,
-  // accepts '+', and silently wraps "-1" to 2^64−1. Require digit-leading.
-  if (value.empty() || value[0] < '0' || value[0] > '9')
-    throw TraceParseError(line, "invalid number: '" + value + "'");
-  try {
-    std::size_t pos = 0;
-    const auto v = std::stoull(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    throw TraceParseError(line, "invalid number: '" + value + "'");
-  }
-}
-
-double parse_double(std::size_t line, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const auto v = std::stod(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    throw TraceParseError(line, "invalid number: '" + value + "'");
-  }
+/// Reads `value` as a T under the one number rule (util/parse.hpp).
+template <typename T>
+T parse_num(std::size_t line, const std::string& value) {
+  if (const auto v = util::parse_number<T>(value)) return *v;
+  throw TraceParseError(line, "invalid number: '" + value + "'");
 }
 
 std::size_t resolve_si(std::size_t line, const isa::SiLibrary& lib,
@@ -78,12 +61,13 @@ std::vector<TaskDef> parse_tasks(std::istream& in, const isa::SiLibrary& lib) {
     if (op == "compute") {
       std::string cycles;
       if (!(ls >> cycles)) throw TraceParseError(line_no, "compute needs cycles");
-      trace.push_back(TraceOp::compute(parse_u64(line_no, cycles)));
+      trace.push_back(
+          TraceOp::compute(parse_num<std::uint64_t>(line_no, cycles)));
     } else if (op == "si") {
       std::string name, count;
       if (!(ls >> name)) throw TraceParseError(line_no, "si needs a name");
       std::uint64_t n = 1;
-      if (ls >> count) n = parse_u64(line_no, count);
+      if (ls >> count) n = parse_num<std::uint64_t>(line_no, count);
       if (n == 0) throw TraceParseError(line_no, "si count must be positive");
       trace.push_back(TraceOp::si(resolve_si(line_no, lib, name), n));
     } else if (op == "forecast") {
@@ -91,11 +75,12 @@ std::vector<TaskDef> parse_tasks(std::istream& in, const isa::SiLibrary& lib) {
       if (!(ls >> name >> expected))
         throw TraceParseError(line_no, "forecast needs a name and expectation");
       double p = 1.0;
-      if (ls >> prob) p = parse_double(line_no, prob);
+      if (ls >> prob) p = parse_num<double>(line_no, prob);
       if (p <= 0.0 || p > 1.0)
         throw TraceParseError(line_no, "probability must be in (0,1]");
-      trace.push_back(TraceOp::forecast(resolve_si(line_no, lib, name),
-                                        parse_double(line_no, expected), p));
+      trace.push_back(
+          TraceOp::forecast(resolve_si(line_no, lib, name),
+                            parse_num<double>(line_no, expected), p));
     } else if (op == "release") {
       std::string name;
       if (!(ls >> name)) throw TraceParseError(line_no, "release needs a name");

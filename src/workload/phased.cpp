@@ -8,6 +8,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "rispp/util/parse.hpp"
 #include "rispp/util/rng.hpp"
 
 namespace rispp::workload {
@@ -28,28 +29,11 @@ std::vector<std::string> tokenize(const std::string& line) {
   return out;
 }
 
-std::uint64_t parse_u64(std::size_t line, const std::string& v) {
-  if (v.empty() || v[0] < '0' || v[0] > '9')
-    throw WorkloadConfigError(line, "invalid number: '" + v + "'");
-  try {
-    std::size_t pos = 0;
-    const auto x = std::stoull(v, &pos);
-    if (pos != v.size()) throw std::invalid_argument(v);
-    return x;
-  } catch (const std::exception&) {
-    throw WorkloadConfigError(line, "invalid number: '" + v + "'");
-  }
-}
-
-double parse_f64(std::size_t line, const std::string& v) {
-  try {
-    std::size_t pos = 0;
-    const auto x = std::stod(v, &pos);
-    if (pos != v.size()) throw std::invalid_argument(v);
-    return x;
-  } catch (const std::exception&) {
-    throw WorkloadConfigError(line, "invalid number: '" + v + "'");
-  }
+/// Reads `v` as a T under the one number rule (util/parse.hpp).
+template <typename T>
+T parse_num(std::size_t line, const std::string& v) {
+  if (const auto x = util::parse_number<T>(v)) return *x;
+  throw WorkloadConfigError(line, "invalid number: '" + v + "'");
 }
 
 /// Parses "uniform" | "weighted" | "zipfian [THETA]" | "hotset [FRAC PROB]"
@@ -80,7 +64,7 @@ ChooserSpec parse_chooser(std::size_t line,
     spec.kind = Chooser::Kind::Zipfian;
     if (extra > 1)
       throw WorkloadConfigError(line, "zipfian chooser takes at most THETA");
-    if (extra == 1) spec.theta = parse_f64(line, tokens[from + 1]);
+    if (extra == 1) spec.theta = parse_num<double>(line, tokens[from + 1]);
     if (!(spec.theta > 0.0 && spec.theta < 1.0))
       throw WorkloadConfigError(line, "zipfian theta must be in (0,1)");
   } else if (kind == "hotset") {
@@ -89,8 +73,8 @@ ChooserSpec parse_chooser(std::size_t line,
       throw WorkloadConfigError(
           line, "hotset chooser takes FRACTION PROBABILITY (or nothing)");
     if (extra == 2) {
-      spec.hot_fraction = parse_f64(line, tokens[from + 1]);
-      spec.hot_probability = parse_f64(line, tokens[from + 2]);
+      spec.hot_fraction = parse_num<double>(line, tokens[from + 1]);
+      spec.hot_probability = parse_num<double>(line, tokens[from + 2]);
     }
     if (!(spec.hot_fraction > 0.0 && spec.hot_fraction <= 1.0))
       throw WorkloadConfigError(line, "hotset fraction must be in (0,1]");
@@ -190,13 +174,13 @@ PhasedConfig parse_phased_config(std::istream& in) {
       if (key == "tasks") {
         if (tokens.size() != 2)
           throw WorkloadConfigError(line_no, "usage: tasks N");
-        cfg.tasks = parse_u64(line_no, tokens[1]);
+        cfg.tasks = parse_num<std::uint64_t>(line_no, tokens[1]);
         if (cfg.tasks == 0)
           throw WorkloadConfigError(line_no, "tasks must be >= 1");
       } else if (key == "seed") {
         if (tokens.size() != 2)
           throw WorkloadConfigError(line_no, "usage: seed N");
-        cfg.seed = parse_u64(line_no, tokens[1]);
+        cfg.seed = parse_num<std::uint64_t>(line_no, tokens[1]);
       } else if (key == "task_chooser") {
         cfg.task_chooser =
             parse_chooser(line_no, tokens, 1, /*weighted_allowed=*/false);
@@ -212,7 +196,7 @@ PhasedConfig parse_phased_config(std::istream& in) {
     if (key == "events") {
       if (tokens.size() != 2)
         throw WorkloadConfigError(line_no, "usage: events N");
-      phase->events = parse_u64(line_no, tokens[1]);
+      phase->events = parse_num<std::uint64_t>(line_no, tokens[1]);
       if (phase->events == 0)
         throw WorkloadConfigError(line_no, "events must be >= 1");
     } else if (key == "mix") {
@@ -227,7 +211,7 @@ PhasedConfig parse_phased_config(std::istream& in) {
                                         tokens[i] + "'");
         double weight = 1.0;
         if (eq != std::string::npos)
-          weight = parse_f64(line_no, tokens[i].substr(eq + 1));
+          weight = parse_num<double>(line_no, tokens[i].substr(eq + 1));
         if (!(weight > 0.0))
           throw WorkloadConfigError(line_no,
                                     "mix weight must be > 0: '" + tokens[i] +
@@ -247,9 +231,10 @@ PhasedConfig parse_phased_config(std::istream& in) {
     } else if (key == "compute") {
       if (tokens.size() != 2 && tokens.size() != 3)
         throw WorkloadConfigError(line_no, "usage: compute MIN [MAX]");
-      phase->compute_min = parse_u64(line_no, tokens[1]);
-      phase->compute_max = tokens.size() == 3 ? parse_u64(line_no, tokens[2])
-                                              : phase->compute_min;
+      phase->compute_min = parse_num<std::uint64_t>(line_no, tokens[1]);
+      phase->compute_max =
+          tokens.size() == 3 ? parse_num<std::uint64_t>(line_no, tokens[2])
+                             : phase->compute_min;
       if (phase->compute_min == 0)
         throw WorkloadConfigError(line_no, "compute gap must be >= 1 cycle");
       if (phase->compute_max < phase->compute_min)
@@ -257,15 +242,16 @@ PhasedConfig parse_phased_config(std::istream& in) {
     } else if (key == "si_count") {
       if (tokens.size() != 2)
         throw WorkloadConfigError(line_no, "usage: si_count N");
-      phase->si_count = parse_u64(line_no, tokens[1]);
+      phase->si_count = parse_num<std::uint64_t>(line_no, tokens[1]);
       if (phase->si_count == 0)
         throw WorkloadConfigError(line_no, "si_count must be >= 1");
     } else if (key == "rate") {
       if (tokens.size() != 2 && tokens.size() != 3)
         throw WorkloadConfigError(line_no, "usage: rate BEGIN [END]");
-      phase->rate_begin = parse_f64(line_no, tokens[1]);
-      phase->rate_end = tokens.size() == 3 ? parse_f64(line_no, tokens[2])
-                                           : phase->rate_begin;
+      phase->rate_begin = parse_num<double>(line_no, tokens[1]);
+      phase->rate_end = tokens.size() == 3
+                            ? parse_num<double>(line_no, tokens[2])
+                            : phase->rate_begin;
       if (!(phase->rate_begin > 0.0) || !(phase->rate_end > 0.0))
         throw WorkloadConfigError(line_no, "rates must be > 0");
     } else if (key == "burst") {
@@ -280,9 +266,9 @@ PhasedConfig parse_phased_config(std::istream& in) {
         const auto k = tokens[i].substr(0, eq);
         const auto v = tokens[i].substr(eq + 1);
         if (k == "period")
-          phase->burst_period = parse_u64(line_no, v);
+          phase->burst_period = parse_num<std::uint64_t>(line_no, v);
         else if (k == "amplitude")
-          phase->burst_amplitude = parse_f64(line_no, v);
+          phase->burst_amplitude = parse_num<double>(line_no, v);
         else
           throw WorkloadConfigError(line_no,
                                     "unknown burst parameter '" + k + "'");
@@ -301,7 +287,7 @@ PhasedConfig parse_phased_config(std::istream& in) {
         phase->forecast = true;
       } else {
         phase->forecast = true;
-        phase->forecast_probability = parse_f64(line_no, tokens[1]);
+        phase->forecast_probability = parse_num<double>(line_no, tokens[1]);
         if (!(phase->forecast_probability > 0.0 &&
               phase->forecast_probability <= 1.0))
           throw WorkloadConfigError(line_no,

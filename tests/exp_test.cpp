@@ -92,6 +92,24 @@ TEST(SweepPlan, PointAccessors) {
   EXPECT_THROW(p.at("missing"), PreconditionError);
   EXPECT_THROW(p.get_u64("s", 0), PreconditionError);
   EXPECT_THROW(p.get_f64("s", 0), PreconditionError);
+  // The one number rule (util/parse.hpp): the whole value, no sign on a
+  // count, no blanks, in range for the field, finite.
+  Sweep bad;
+  for (const char* v : {"-1", "+5", " 7", "7abc", "99999999999999999999999",
+                        "nan", "1e400"})
+    bad.add_point({{"v", v}});
+  for (const auto& q : bad.points()) {
+    SCOPED_TRACE(q.at("v"));
+    EXPECT_THROW(q.get_u64("v", 0), PreconditionError);
+    EXPECT_THROW(q.get_u32("v", 0), PreconditionError);
+  }
+  // As reals, -1 and 1e23 are numbers; the other five are not.
+  for (const std::size_t k : {1, 2, 3, 5, 6})
+    EXPECT_THROW(bad.point_at(k).get_f64("v", 0), PreconditionError) << k;
+  Sweep wide;
+  wide.add_point({{"n", "4294967296"}});
+  EXPECT_EQ(wide.point_at(0).get_u64("n", 0), 4294967296u);
+  EXPECT_THROW(wide.point_at(0).get_u32("n", 0), PreconditionError);
 }
 
 TEST(ResultTableTest, RowsSortByPointAndColumnsUnionInOrder) {
@@ -194,16 +212,21 @@ TEST(PlatformTest, BuiltinsAndParetoTables) {
 }
 
 TEST(PlatformTest, FromFileParsesOnce) {
+  // Platform::resolve takes the NAME|FILE argument of every tool: a
+  // built-in name is the shared snapshot, anything else a library file.
   const auto path = ::testing::TempDir() + "rispp_exp_lib.txt";
   {
     std::ofstream out(path);
     rispp::isa::write_si_library(out, rispp::isa::SiLibrary::h264());
   }
-  const auto platform = Platform::from_file(path);
+  const auto platform = Platform::resolve(path);
+  EXPECT_EQ(platform->name(), path);
   EXPECT_EQ(platform->library().size(),
             rispp::isa::SiLibrary::h264().size());
-  EXPECT_THROW(Platform::from_file("/nonexistent/lib.txt"),
-               PreconditionError);
+  for (const auto& name : Platform::builtin_names())
+    EXPECT_EQ(Platform::resolve(name), Platform::builtin(name));
+  EXPECT_THROW(Platform::resolve("/nonexistent/lib.txt"), PreconditionError);
+  EXPECT_THROW(Platform::resolve("h264_sad"), PreconditionError);
 }
 
 /// A cheap pure-ISA evaluator for scheduling-focused tests.
@@ -286,9 +309,9 @@ TEST(StandardEval, SweepValidationFailsFastOnTypos) {
     EXPECT_NE(std::string(e.what()).find("greedy"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("exhaustive"), std::string::npos);
   }
-  Sweep bad_driving;
-  bad_driving.axis("driving", {"sometimes"});
-  EXPECT_THROW(validate_sim_sweep(bad_driving), PreconditionError);
+  Sweep bad_count;  // a signed count, not 2^32-1 Atom Containers
+  bad_count.axis("workload", {"enc"}).axis("containers", {"-1"});
+  EXPECT_THROW(validate_sim_sweep(bad_count), PreconditionError);
   Sweep bad_workload;
   bad_workload.axis("workload", {"doom"});
   EXPECT_THROW(validate_sim_sweep(bad_workload), PreconditionError);

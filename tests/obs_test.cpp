@@ -148,11 +148,6 @@ TEST(ChromeTrace, GoldenFile) {
 ]}
 )";
   EXPECT_EQ(os.str(), expected);
-
-  // The counter tracks are opt-out.
-  std::ostringstream plain;
-  write_chrome_trace(plain, events, tiny_meta(), {.counter_tracks = false});
-  EXPECT_EQ(plain.str().find("\"cat\":\"counter\""), std::string::npos);
 }
 
 TEST(ChromeTrace, CancelledRotationSpansAreDropped) {
@@ -185,7 +180,7 @@ TEST(ChromeTrace, FaultsAreInstantsAndNamesAreEscaped) {
       {.at = 510, .kind = EventKind::AcQuarantined, .container = 1},
   };
   std::ostringstream os;
-  write_chrome_trace(os, events, meta, {.counter_tracks = false});
+  write_chrome_trace(os, events, meta);
   const auto doc = json::parse(os.str());
   std::vector<std::string> faults;
   for (const auto& e : doc.at("traceEvents").items()) {

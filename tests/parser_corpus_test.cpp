@@ -1,10 +1,11 @@
 /// Fuzz-style corpus test for the text parsers: every checked-in malformed
 /// input under tests/data/corpus/ (truncated lines, NUL bytes, giant
 /// counts, binary garbage) must be rejected with the parser's structured
-/// error type — isa::ParseError, sim::TraceParseError, or util::Error — and
-/// never crash, hang, or throw anything unstructured. New crash inputs
-/// found in the wild are added as files; the harness picks them up without
-/// a code change (docs/testing.md).
+/// error type — isa::ParseError, sim::TraceParseError,
+/// workload::WorkloadConfigError, or util::Error — and never crash, hang,
+/// or throw anything unstructured. New crash inputs found in the wild are
+/// added as files; the harness picks them up without a code change
+/// (docs/testing.md).
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "rispp/obs/csv_trace.hpp"
 #include "rispp/sim/trace_io.hpp"
 #include "rispp/util/error.hpp"
+#include "rispp/workload/phased.hpp"
 
 namespace {
 
@@ -74,6 +76,14 @@ TEST(ParserCorpus, CsvTraceParserRejectsEveryMalformedInput) {
     expect_structured_rejection<rispp::util::Error>(file, [](std::istream& in) {
       (void)rispp::obs::read_csv_trace(in, nullptr);
     });
+}
+
+TEST(ParserCorpus, WorkloadConfigParserRejectsEveryMalformedInput) {
+  for (const auto& file : corpus("workload"))
+    expect_structured_rejection<rispp::workload::WorkloadConfigError>(
+        file, [](std::istream& in) {
+          (void)rispp::workload::parse_phased_config(in);
+        });
 }
 
 // A few inline cases pinning the *kind* of rejection for inputs the corpus

@@ -192,21 +192,4 @@ TEST(SharedLibrary, NullLibraryIsRejected) {
   EXPECT_THROW(Simulator(nullptr, {}), PreconditionError);
 }
 
-TEST(DrivingEnum, ParseAndPrintRoundTrip) {
-  EXPECT_EQ(parse_driving("wakeups"), Driving::Wakeups);
-  EXPECT_EQ(parse_driving("poll-every-switch"),
-            Driving::PollEverySwitch);
-  EXPECT_STREQ(to_string(Driving::Wakeups), "wakeups");
-  EXPECT_STREQ(to_string(Driving::PollEverySwitch),
-               "poll-every-switch");
-  try {
-    parse_driving("sometimes");
-    FAIL() << "expected PreconditionError";
-  } catch (const PreconditionError& e) {
-    EXPECT_NE(std::string(e.what()).find("wakeups"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("poll-every-switch"),
-              std::string::npos);
-  }
-}
-
 }  // namespace

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "rispp/util/csv.hpp"
 #include "rispp/util/error.hpp"
+#include "rispp/util/parse.hpp"
 #include "rispp/util/rng.hpp"
 #include "rispp/util/stats.hpp"
 #include "rispp/util/table.hpp"
@@ -55,6 +58,36 @@ TEST(Rng, ChanceApproximatesProbability) {
   for (int i = 0; i < 100000; ++i)
     if (rng.chance(0.3)) ++hits;
   EXPECT_NEAR(hits / 100000.0, 0.3, 0.01);
+}
+
+TEST(ParseNumber, EdgesOfTheOneNumberRule) {
+  // The maximum of the destination type is accepted, one more is not.
+  EXPECT_EQ(parse_number<std::uint32_t>("4294967295"), 4294967295u);
+  EXPECT_FALSE(parse_number<std::uint32_t>("4294967296"));
+  EXPECT_EQ(parse_number<std::uint64_t>("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_FALSE(parse_number<std::uint64_t>("18446744073709551616"));
+  EXPECT_EQ(parse_number<std::int32_t>("-2147483648"),
+            std::numeric_limits<std::int32_t>::min());
+  EXPECT_FALSE(parse_number<std::int32_t>("2147483648"));
+  // The whole token, decimal digits only; no sign on an unsigned type.
+  for (const char* bad :
+       {"", " ", " 7", "7 ", "\t7", "+7", "-7", "-0", "7abc", "0x10", "1.5"})
+    EXPECT_FALSE(parse_number<std::uint64_t>(bad)) << "'" << bad << "'";
+  EXPECT_EQ(parse_number<std::int64_t>("-7"), -7);
+  EXPECT_FALSE(parse_number<std::int64_t>("+7"));
+  // Reals: finite only.
+  EXPECT_EQ(parse_number<double>("-0.25"), -0.25);
+  EXPECT_EQ(parse_number<double>("1e3"), 1000.0);
+  for (const char* bad : {"", " 1", "+1", "1,5", "nan", "inf", "-inf", "1e400",
+                          "0x1p3"})
+    EXPECT_FALSE(parse_number<double>(bad)) << "'" << bad << "'";
+  try {
+    (void)require_number<unsigned>("-1", "--jobs");
+    FAIL() << "signed count accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_STREQ(e.what(), "invalid number for --jobs: '-1'");
+  }
 }
 
 TEST(Accumulator, BasicMoments) {

@@ -1,62 +1,48 @@
 /// rispp_explorer — command-line front end to the platform:
 ///
-///   rispp_explorer info <library.txt>
-///       catalog and SI summary of a library file
-///   rispp_explorer pareto <library.txt>
+///   rispp_explorer info <library>
+///       catalog and SI summary of a library
+///   rispp_explorer pareto <library>
 ///       per-SI Pareto fronts (the Fig-13 view) for any library
-///   rispp_explorer budget <library.txt> <atoms>
+///   rispp_explorer budget <library> <atoms>
 ///       budget-best molecule per SI at a given container count
-///   rispp_explorer simulate <library.txt> <trace.txt> [containers] [quantum]
-///                  [--containers=N] [--quantum=N]
-///                  [--selector=greedy|exhaustive] [--victim=lru|mru|round-robin]
-///                  [--fault-p=P] [--fault-poison=P] [--fault-degrade=P]
-///                  [--fault-seed=N] [--retries=N] [--backoff=N]
-///       run a multi-task trace file on the cycle simulator; the --selector
-///       and --victim keys resolve against the run-time policy factory, and
-///       the --fault-* flags inject seeded reconfiguration faults
 ///   rispp_explorer policies
 ///       list the registered selection and replacement policies
-///   rispp_explorer emit <h264|h264_sad|h264_frame>
-///       print a built-in library in the text format (a starting point for
-///       custom libraries)
+///   rispp_explorer emit <library>
+///       print a library in the text format (a starting point for custom
+///       libraries)
+///
+/// <library> is a built-in name (h264, h264_with_sad, h264_frame, aes) or an
+/// SI-library file (docs/FORMATS.md §1), resolved by exp::Platform::resolve.
+/// To run a trace file on the cycle simulator, use
+/// `rispp_workload simulate --trace=FILE`.
 
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <vector>
 
+#include "rispp/exp/platform.hpp"
 #include "rispp/isa/io.hpp"
 #include "rispp/rt/policy.hpp"
-#include "rispp/sim/simulator.hpp"
-#include "rispp/sim/trace_io.hpp"
+#include "rispp/util/parse.hpp"
 #include "rispp/util/table.hpp"
 
 namespace {
 
+using rispp::isa::SiLibrary;
 using rispp::util::TextTable;
 
 int usage() {
-  std::cerr << "usage: rispp_explorer <info|pareto|budget|simulate|policies|emit> ...\n"
-               "  info <library.txt>\n"
-               "  pareto <library.txt>\n"
-               "  budget <library.txt> <atoms>\n"
-               "  simulate <library.txt> <trace.txt> [containers] [quantum]\n"
-               "           [--containers=N] [--quantum=N] [--selector=KEY] [--victim=KEY]\n"
-               "           [--fault-p=P] [--fault-poison=P] [--fault-degrade=P]\n"
-               "           [--fault-seed=N] [--retries=N] [--backoff=N]\n"
+  std::cerr << "usage: rispp_explorer <info|pareto|budget|policies|emit> ...\n"
+               "  info <library>\n"
+               "  pareto <library>\n"
+               "  budget <library> <atoms>\n"
                "  policies\n"
-               "  emit <h264|h264_sad|h264_frame>\n";
+               "  emit <library>\n"
+               "  <library>: h264 | h264_with_sad | h264_frame | aes | FILE\n";
   return 2;
 }
 
-rispp::isa::SiLibrary load_library(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open library file: " + path);
-  return rispp::isa::parse_si_library(in);
-}
-
-int cmd_info(const std::string& path) {
-  const auto lib = load_library(path);
+int cmd_info(const SiLibrary& lib) {
   TextTable atoms{"atom", "slices", "LUTs", "bitstream [B]", "placement"};
   atoms.set_title("Catalog (" + std::to_string(lib.catalog().size()) + " atoms)");
   for (const auto& a : lib.catalog().atoms())
@@ -79,8 +65,7 @@ int cmd_info(const std::string& path) {
   return 0;
 }
 
-int cmd_pareto(const std::string& path) {
-  const auto lib = load_library(path);
+int cmd_pareto(const SiLibrary& lib) {
   for (const auto& si : lib.sis()) {
     TextTable t{"#atoms", "cycles", "molecule"};
     t.set_title(si.name() + " Pareto front");
@@ -92,9 +77,9 @@ int cmd_pareto(const std::string& path) {
   return 0;
 }
 
-int cmd_budget(const std::string& path, const std::string& atoms) {
-  const auto lib = load_library(path);
-  const auto budget = std::stoull(atoms);
+int cmd_budget(const SiLibrary& lib, const std::string& atoms) {
+  const auto budget =
+      rispp::util::require_number<std::uint64_t>(atoms, "<atoms>");
   TextTable t{"SI", "best cycles", "vs software"};
   t.set_title("Budget-best execution at " + atoms + " atom containers");
   for (const auto& si : lib.sis()) {
@@ -111,71 +96,6 @@ int cmd_budget(const std::string& path, const std::string& atoms) {
   return 0;
 }
 
-struct SimulateArgs {
-  std::string lib_path;
-  std::string trace_path;
-  unsigned containers = 4;
-  std::uint64_t quantum = 10000;
-  std::string selector = "greedy";
-  std::string victim = "lru";
-  double fault_p = 0.0;
-  double fault_poison = 0.0;
-  double fault_degrade = 0.0;
-  std::uint64_t fault_seed = 1;
-  unsigned retries = 3;
-  std::uint64_t backoff = 1000;
-};
-
-int cmd_simulate(const SimulateArgs& args) {
-  const auto lib = load_library(args.lib_path);
-  std::ifstream in(args.trace_path);
-  if (!in)
-    throw std::runtime_error("cannot open trace file: " + args.trace_path);
-  const auto tasks = rispp::sim::parse_tasks(in, lib);
-
-  rispp::sim::SimConfig cfg;
-  cfg.rt.atom_containers = args.containers;
-  cfg.rt.selection_policy = args.selector;
-  cfg.rt.replacement_policy = args.victim;
-  if (args.fault_p > 0 || args.fault_poison > 0 || args.fault_degrade > 0)
-    cfg.rt.faults = rispp::hw::FaultModel::probabilistic(
-        args.fault_seed, args.fault_p, args.fault_poison, args.fault_degrade);
-  cfg.rt.max_rotation_retries = args.retries;
-  cfg.rt.retry_backoff_cycles = args.backoff;
-  cfg.quantum = args.quantum;
-  rispp::sim::Simulator sim(borrow(lib), cfg);
-  for (auto& t : tasks) sim.add_task(t);
-  const auto r = sim.run();
-
-  std::cout << "policies: selector=" << sim.manager().selection_policy().name()
-            << ", victim=" << sim.manager().replacement_policy().name()
-            << "\n";
-  std::cout << "total cycles: " << TextTable::grouped(static_cast<long long>(r.total_cycles))
-            << ", rotations: " << r.rotations << ", energy: "
-            << TextTable::grouped(static_cast<long long>(r.energy_total_nj))
-            << " nJ\n";
-  if (cfg.rt.faults.enabled()) {
-    const auto& ctr = sim.manager().counters();
-    std::cout << "faults: failed=" << ctr.get("rotations_failed")
-              << ", retries=" << ctr.get("rotation_retries")
-              << ", quarantined=" << ctr.get("acs_quarantined") << "\n";
-  }
-  std::cout << "\n";
-  TextTable t{"SI", "invocations", "hw", "sw", "cycles"};
-  for (const auto& [name, st] : r.per_si)
-    t.add_row({name, std::to_string(st.invocations),
-               std::to_string(st.hw_invocations),
-               std::to_string(st.sw_invocations),
-               TextTable::grouped(static_cast<long long>(st.total_cycles))});
-  std::cout << t.str();
-  if (!r.timeline.empty()) {
-    std::cout << "\ntimeline:\n";
-    for (const auto& e : r.timeline)
-      std::cout << "  @" << e.at << " [" << e.task << "] " << e.text << "\n";
-  }
-  return 0;
-}
-
 int cmd_policies() {
   TextTable t{"kind", "key"};
   t.set_title("Registered run-time policies");
@@ -187,72 +107,23 @@ int cmd_policies() {
   return 0;
 }
 
-int cmd_emit(const std::string& which) {
-  if (which == "h264")
-    rispp::isa::write_si_library(std::cout, rispp::isa::SiLibrary::h264());
-  else if (which == "h264_sad")
-    rispp::isa::write_si_library(std::cout,
-                                 rispp::isa::SiLibrary::h264_with_sad());
-  else if (which == "h264_frame")
-    rispp::isa::write_si_library(std::cout,
-                                 rispp::isa::SiLibrary::h264_frame());
-  else
-    return usage();
-  return 0;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  try {
-    if (argc < 2) return usage();
-    const std::string cmd = argv[1];
-    if (cmd == "info" && argc == 3) return cmd_info(argv[2]);
-    if (cmd == "pareto" && argc == 3) return cmd_pareto(argv[2]);
-    if (cmd == "budget" && argc == 4) return cmd_budget(argv[2], argv[3]);
-    if (cmd == "simulate") {
-      SimulateArgs args;
-      std::vector<std::string> positional;
-      for (int i = 2; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a.rfind("--containers=", 0) == 0)
-          args.containers = static_cast<unsigned>(std::stoul(a.substr(13)));
-        else if (a.rfind("--quantum=", 0) == 0)
-          args.quantum = std::stoull(a.substr(10));
-        else if (a.rfind("--selector=", 0) == 0)
-          args.selector = a.substr(11);
-        else if (a.rfind("--victim=", 0) == 0)
-          args.victim = a.substr(9);
-        else if (a.rfind("--fault-p=", 0) == 0)
-          args.fault_p = std::stod(a.substr(10));
-        else if (a.rfind("--fault-poison=", 0) == 0)
-          args.fault_poison = std::stod(a.substr(15));
-        else if (a.rfind("--fault-degrade=", 0) == 0)
-          args.fault_degrade = std::stod(a.substr(16));
-        else if (a.rfind("--fault-seed=", 0) == 0)
-          args.fault_seed = std::stoull(a.substr(13));
-        else if (a.rfind("--retries=", 0) == 0)
-          args.retries = static_cast<unsigned>(std::stoul(a.substr(10)));
-        else if (a.rfind("--backoff=", 0) == 0)
-          args.backoff = std::stoull(a.substr(10));
-        else if (a.rfind("--", 0) == 0)
-          return usage();
-        else
-          positional.push_back(a);
-      }
-      if (positional.size() < 2 || positional.size() > 4) return usage();
-      args.lib_path = positional[0];
-      args.trace_path = positional[1];
-      if (positional.size() >= 3)
-        args.containers = static_cast<unsigned>(std::stoul(positional[2]));
-      if (positional.size() >= 4) args.quantum = std::stoull(positional[3]);
-      return cmd_simulate(args);
-    }
-    if (cmd == "policies" && argc == 2) return cmd_policies();
-    if (cmd == "emit" && argc == 3) return cmd_emit(argv[2]);
-    return usage();
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
-  }
+int main(int argc, char** argv) try {
+  const std::string cmd = argc >= 2 ? argv[1] : "";
+  if (cmd == "policies" && argc == 2) return cmd_policies();
+  const bool known =
+      ((cmd == "info" || cmd == "pareto" || cmd == "emit") && argc == 3) ||
+      (cmd == "budget" && argc == 4);
+  if (!known) return usage();
+  const auto platform = rispp::exp::Platform::resolve(argv[2]);
+  const auto& lib = platform->library();
+  if (cmd == "info") return cmd_info(lib);
+  if (cmd == "pareto") return cmd_pareto(lib);
+  if (cmd == "budget") return cmd_budget(lib, argv[3]);
+  rispp::isa::write_si_library(std::cout, lib);  // emit
+  return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -35,6 +35,7 @@
 #include "rispp/isa/generator.hpp"
 #include "rispp/isa/io.hpp"
 #include "rispp/sim/trace_io.hpp"
+#include "rispp/util/parse.hpp"
 #include "rispp/util/table.hpp"
 #include "rispp/workload/trace_source.hpp"
 
@@ -64,6 +65,16 @@ bool take(const std::string& arg, const std::string& key, std::string& out) {
   return true;
 }
 
+/// `take` for a numeric flag: the value under the one number rule,
+/// range-checked to the field it sets.
+template <typename T>
+bool take_num(const std::string& arg, const std::string& key, T& out) {
+  std::string v;
+  if (!take(arg, key, v)) return false;
+  out = rispp::util::require_number<T>(v, key.substr(0, key.size() - 1));
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) try {
@@ -78,46 +89,39 @@ int main(int argc, char** argv) try {
   std::string out_path, v;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (take(arg, "--seed=", v))
-      cfg.seed = std::stoull(v);
-    else if (take(arg, "--name=", v))
-      cfg.name = v;
-    else if (take(arg, "--atoms=", v))
-      cfg.rotatable_atoms = std::stoull(v);
-    else if (take(arg, "--static=", v))
-      cfg.static_atoms = std::stoull(v);
-    else if (take(arg, "--sis=", v))
-      cfg.sis = std::stoull(v);
-    else if (take(arg, "--molecules=", v)) {
+    if (take_num(arg, "--seed=", cfg.seed) ||
+        take_num(arg, "--atoms=", cfg.rotatable_atoms) ||
+        take_num(arg, "--static=", cfg.static_atoms) ||
+        take_num(arg, "--sis=", cfg.sis) ||
+        take_num(arg, "--max-count=", cfg.max_count) ||
+        take_num(arg, "--tasks=", wl.tasks) ||
+        take_num(arg, "--phases=", wl.phases) ||
+        take_num(arg, "--events=", wl.events_per_phase) ||
+        take_num(arg, "--skew=", wl.task_skew) ||
+        take_num(arg, "--rate=", wl.rate))
+      continue;
+    if (take_num(arg, "--wl-seed=", wl.seed)) {
+      wl_seed_set = true;
+    } else if (take(arg, "--molecules=", v)) {
       const auto comma = v.find(',');
       if (comma == std::string::npos) return usage();
-      cfg.molecules_min = std::stoull(v.substr(0, comma));
-      cfg.molecules_max = std::stoull(v.substr(comma + 1));
-    } else if (take(arg, "--shape=", v))
+      cfg.molecules_min = rispp::util::require_number<std::size_t>(
+          v.substr(0, comma), "--molecules");
+      cfg.molecules_max = rispp::util::require_number<std::size_t>(
+          v.substr(comma + 1), "--molecules");
+    } else if (take(arg, "--name=", v)) {
+      cfg.name = v;
+    } else if (take(arg, "--shape=", v)) {
       cfg.shape = rispp::isa::parse_lattice_shape(v);
-    else if (take(arg, "--bitstream=", v))
+    } else if (take(arg, "--bitstream=", v)) {
       cfg.bitstream = Distribution::parse(v);
-    else if (take(arg, "--speedup=", v))
+    } else if (take(arg, "--speedup=", v)) {
       cfg.speedup = Distribution::parse(v);
-    else if (take(arg, "--max-count=", v))
-      cfg.max_count = static_cast<rispp::atom::Count>(std::stoul(v));
-    else if (take(arg, "--out=", v))
+    } else if (take(arg, "--out=", v)) {
       out_path = v;
-    else if (take(arg, "--tasks=", v))
-      wl.tasks = std::stoull(v);
-    else if (take(arg, "--phases=", v))
-      wl.phases = std::stoull(v);
-    else if (take(arg, "--events=", v))
-      wl.events_per_phase = std::stoull(v);
-    else if (take(arg, "--skew=", v))
-      wl.task_skew = std::stod(v);
-    else if (take(arg, "--rate=", v))
-      wl.rate = std::stod(v);
-    else if (take(arg, "--wl-seed=", v)) {
-      wl.seed = std::stoull(v);
-      wl_seed_set = true;
-    } else
+    } else {
       return usage();
+    }
   }
 
   const LibraryGenerator gen(cfg);

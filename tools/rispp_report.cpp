@@ -33,6 +33,7 @@
 #include "rispp/obs/csv_trace.hpp"
 #include "rispp/obs/profiler.hpp"
 #include "rispp/obs/report.hpp"
+#include "rispp/util/parse.hpp"
 #include "rispp/util/table.hpp"
 
 namespace {
@@ -234,7 +235,8 @@ int main(int argc, char** argv) try {
         std::cerr << usage;
         return 2;
       }
-      tols.push_back({pattern, std::stod(arg.substr(eq + 1))});
+      tols.push_back({pattern, rispp::util::require_number<double>(
+                                   arg.substr(eq + 1), "--tol")});
     }
     return diff(argv[2], argv[3], tols);
   }

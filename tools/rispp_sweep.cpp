@@ -37,6 +37,7 @@
 #include "rispp/obs/chrome_trace.hpp"
 #include "rispp/obs/telemetry.hpp"
 #include "rispp/util/error.hpp"
+#include "rispp/util/parse.hpp"
 
 namespace {
 
@@ -44,9 +45,8 @@ int usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0 << " --grid=SPEC [options]\n"
       << "  --grid=SPEC       axes, e.g. \"containers=4,8;workload=enc\"\n"
-      << "  --platform=NAME   builtin library: h264, h264_with_sad,\n"
-      << "                    h264_frame (default h264_frame)\n"
-      << "  --lib=FILE        parse the SI library from FILE instead\n"
+      << "  --platform=L      SI library: h264, h264_with_sad, h264_frame\n"
+      << "                    (default), aes, or a library file\n"
       << "  --jobs=N          worker threads (default 1; 0 = all cores)\n"
       << "  --seed=S          base seed for per-point RNG streams "
          "(default 1)\n"
@@ -82,21 +82,20 @@ int usage(const char* argv0) {
 bool parse_shard(const std::string& spec, std::size_t& index,
                  std::size_t& count) {
   const auto slash = spec.find('/');
-  if (slash == std::string::npos || slash == 0 || slash + 1 == spec.size())
-    return false;
-  try {
-    index = std::stoull(spec.substr(0, slash));
-    count = std::stoull(spec.substr(slash + 1));
-  } catch (...) {
-    return false;
-  }
-  return count >= 1 && index < count;
+  if (slash == std::string::npos) return false;
+  const std::string_view view(spec);
+  const auto i = rispp::util::parse_number<std::size_t>(view.substr(0, slash));
+  const auto n = rispp::util::parse_number<std::size_t>(view.substr(slash + 1));
+  if (!i || !n || *n < 1 || *i >= *n) return false;
+  index = *i;
+  count = *n;
+  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) try {
-  std::string grid, platform_name = "h264_frame", lib_file, out, format;
+  std::string grid, platform_name = "h264_frame", out, format;
   std::string out_shard, resume, agg_out, spill_csv, shard_spec;
   std::string telemetry_out, telemetry_trace, flight_out;
   unsigned jobs = 1;
@@ -106,17 +105,21 @@ int main(int argc, char** argv) try {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto value = [&](const char* prefix) {
-      return arg.substr(std::string(prefix).size());
+    const auto value = [&](const std::string& prefix) {
+      return arg.substr(prefix.size());
+    };
+    const auto count = [&](const std::string& prefix) {  // "--name="
+      return rispp::util::require_number<std::size_t>(
+          value(prefix), prefix.substr(0, prefix.size() - 1));
     };
     if (arg.rfind("--grid=", 0) == 0) grid = value("--grid=");
     else if (arg.rfind("--platform=", 0) == 0)
       platform_name = value("--platform=");
-    else if (arg.rfind("--lib=", 0) == 0) lib_file = value("--lib=");
     else if (arg.rfind("--jobs=", 0) == 0)
-      jobs = static_cast<unsigned>(std::stoul(value("--jobs=")));
+      jobs = rispp::util::require_number<unsigned>(value("--jobs="), "--jobs");
     else if (arg.rfind("--seed=", 0) == 0)
-      seed = std::stoull(value("--seed="));
+      seed = rispp::util::require_number<std::uint64_t>(value("--seed="),
+                                                        "--seed");
     else if (arg.rfind("--out=", 0) == 0) out = value("--out=");
     else if (arg.rfind("--format=", 0) == 0) format = value("--format=");
     else if (arg.rfind("--shard=", 0) == 0) shard_spec = value("--shard=");
@@ -127,14 +130,14 @@ int main(int argc, char** argv) try {
     else if (arg.rfind("--spill-csv=", 0) == 0)
       spill_csv = value("--spill-csv=");
     else if (arg.rfind("--window=", 0) == 0)
-      window = std::stoull(value("--window="));
+      window = count("--window=");
     else if (arg.rfind("--max-points=", 0) == 0)
-      max_points = std::stoull(value("--max-points="));
+      max_points = count("--max-points=");
     else if (arg == "--dry-run") dry_run = true;
     else if (arg == "--progress") progress = true;
     else if (arg.rfind("--progress=", 0) == 0) {
       progress = true;
-      progress_every = std::stoull(value("--progress="));
+      progress_every = count("--progress=");
     } else if (arg.rfind("--telemetry-out=", 0) == 0)
       telemetry_out = value("--telemetry-out=");
     else if (arg.rfind("--telemetry-trace=", 0) == 0)
@@ -174,9 +177,7 @@ int main(int argc, char** argv) try {
     return 0;
   }
 
-  const auto platform = lib_file.empty()
-                            ? rispp::exp::Platform::builtin(platform_name)
-                            : rispp::exp::Platform::from_file(lib_file);
+  const auto platform = rispp::exp::Platform::resolve(platform_name);
 
   const auto header = rispp::exp::ManifestHeader::for_sweep(
       sweep, platform->name(), rispp::exp::kSimEvaluatorId);
