@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <istream>
 #include <map>
 #include <sstream>
 #include <vector>
+
+#include "rispp/util/parse.hpp"
 
 namespace rispp::dlx {
 
@@ -33,31 +36,37 @@ std::vector<std::string> split_operands(const std::string& s) {
   return out;
 }
 
+/// A register is `r` (or `R`) and 0-31 in decimal (docs/FORMATS.md §3).
 std::uint8_t parse_reg(std::size_t line, const std::string& tok) {
   if (tok.size() < 2 || (tok[0] != 'r' && tok[0] != 'R'))
     throw AsmError(line, "expected register, got '" + tok + "'");
-  int n = -1;
-  try {
-    std::size_t pos = 0;
-    n = std::stoi(tok.substr(1), &pos);
-    if (pos != tok.size() - 1) n = -1;
-  } catch (const std::exception&) {
-    n = -1;
-  }
-  if (n < 0 || n > 31)
+  const auto n =
+      util::parse_number<std::uint8_t>(std::string_view(tok).substr(1));
+  if (!n || *n > 31)
     throw AsmError(line, "register out of range: '" + tok + "'");
-  return static_cast<std::uint8_t>(n);
+  return *n;
 }
 
+/// An immediate is an optional '-' and then decimal digits without a
+/// leading zero, fitting int32, or "0x" and hex digits fitting 32 bits,
+/// read as a two's-complement pattern (docs/FORMATS.md §3).
 std::int32_t parse_imm(std::size_t line, const std::string& tok) {
-  try {
-    std::size_t pos = 0;
-    const long v = std::stol(tok, &pos, 0);  // decimal / 0x hex
-    if (pos != tok.size()) throw std::invalid_argument(tok);
-    return static_cast<std::int32_t>(v);
-  } catch (const std::exception&) {
-    throw AsmError(line, "invalid immediate: '" + tok + "'");
+  const auto invalid = [&] {
+    return AsmError(line, "invalid immediate: '" + tok + "'");
+  };
+  const bool negative = tok.starts_with('-');
+  const auto digits = std::string_view(tok).substr(negative ? 1 : 0);
+  if (digits.starts_with("0x")) {
+    std::uint32_t bits = 0;
+    const char* const last = digits.data() + digits.size();
+    const auto [end, ec] = std::from_chars(digits.data() + 2, last, bits, 16);
+    if (ec != std::errc{} || end != last) throw invalid();
+    return static_cast<std::int32_t>(negative ? 0u - bits : bits);
   }
+  if (digits.size() > 1 && digits.starts_with('0')) throw invalid();
+  const auto value = util::parse_number<std::int32_t>(tok);
+  if (!value) throw invalid();
+  return *value;
 }
 
 /// Parses "imm(reg)" memory operands.

@@ -4,7 +4,9 @@
 /// parameters onto a SimConfig + H.264 workload, runs one Simulator, and
 /// reports the canonical metric set.
 ///
-/// Understood parameters (all optional):
+/// Understood parameters (all optional; any other key is an error naming
+/// it, so a misspelt axis fails validation instead of running the
+/// defaults):
 ///   workload     enc | dec | encdec (phase traces; default encdec) |
 ///                fig7 (the Fig-7/Fig-12 encoder macroblock trace) |
 ///                phased (the workload::PhasedWorkload generator) |
@@ -109,7 +111,8 @@ inline constexpr std::array<std::string_view, 14> kSimKnobs = {
     "retries",      "backoff"};
 
 /// Builds (and range-checks) the SimConfig a point requests. Throws
-/// util::Error subclasses on unknown policy keys and malformed numbers.
+/// util::Error subclasses on unknown point keys, unknown policy keys and
+/// malformed numbers.
 sim::SimConfig sim_config_for(const SweepPoint& point);
 
 /// Validates every point of a sweep against the standard evaluator's

@@ -23,6 +23,33 @@ namespace {
 
 using workload::Chooser;
 
+/// The point keys the evaluator reads besides the run knobs (kSimKnobs):
+/// the workload and its size, the phased/generated workload axes and the
+/// synthetic-library axes (standard_eval.hpp lists them all).
+constexpr std::array<std::string_view, 23> kWorkloadKeys = {
+    "workload",      "frames",      "mb",          "jitter",
+    "fail_point",    "report_dir",  "wconfig",     "wl_seed",
+    "wl_tasks",      "wl_events",   "wl_skew",     "wl_rate",
+    "wl_phases",     "lib_seed",    "lib_atoms",   "lib_static",
+    "lib_sis",       "lib_shape",   "lib_mol_min", "lib_mol_max",
+    "lib_bitstream", "lib_speedup", "lib_max_count"};
+
+/// Throws PreconditionError naming the first point key the evaluator does
+/// not read: a misspelt axis would otherwise run the defaults unnoticed.
+void require_known_keys(const SweepPoint& point) {
+  for (const auto& [key, value] : point.params) {
+    if (std::ranges::find(kSimKnobs, key) != kSimKnobs.end() ||
+        std::ranges::find(kWorkloadKeys, key) != kWorkloadKeys.end())
+      continue;
+    std::string known;
+    for (const auto k : kSimKnobs) known.append(k).append(", ");
+    for (const auto k : kWorkloadKeys) known.append(k).append(", ");
+    known.resize(known.size() - 2);
+    throw util::PreconditionError("unknown sweep parameter '" + key +
+                                  "' (known: " + known + ")");
+  }
+}
+
 /// Scales every Compute op by a uniform factor in [1-jitter, 1+jitter],
 /// drawn from the point's own Xoshiro256 stream — same seed, same workload,
 /// bit for bit.
@@ -178,6 +205,7 @@ workload::GeneratedWorkloadParams generated_params_for(
 }  // namespace
 
 sim::SimConfig sim_config_for(const SweepPoint& point) {
+  require_known_keys(point);
   sim::SimConfig cfg;
   cfg.rt.atom_containers = point.get_u32("containers", 10);
   cfg.rt.selection_policy = point.get("selector", "greedy");

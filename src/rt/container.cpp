@@ -160,13 +160,6 @@ void ContainerFile::touch(std::span<const atom::Count> used, Cycle now) {
   }
 }
 
-bool ContainerFile::unblocked_in(Cycle after, Cycle upto) const {
-  for (const auto& c : containers_)
-    if (!c.quarantined && c.blocked_until > after && c.blocked_until <= upto)
-      return true;
-  return false;
-}
-
 std::optional<Cycle> ContainerFile::next_unblock_after(Cycle t) const {
   std::optional<Cycle> next;
   for (const auto& c : containers_)

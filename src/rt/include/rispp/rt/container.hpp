@@ -140,11 +140,6 @@ class ContainerFile {
   /// `now`; the cost is one pass over each used kind's instances.
   void touch(std::span<const atom::Count> used, Cycle now);
 
-  /// True when some container's backoff window ended in (after, upto] — the
-  /// container became targetable again, which dirties a cached plan's gate
-  /// decisions the same way a completed rotation does.
-  bool unblocked_in(Cycle after, Cycle upto) const;
-
   /// Earliest backoff expiry strictly after `t` among in-service containers,
   /// if any — a wakeup source: until then a blocked container cannot change
   /// the kernel's options.

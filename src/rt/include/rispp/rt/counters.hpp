@@ -15,6 +15,8 @@ enum class Counter : std::uint8_t {
   Forecasts,
   ForecastReleases,
   Reallocations,
+  /// Selector re-plans: one per reallocation, so always equal to
+  /// Reallocations. Kept while hostbench's ledger still reads it.
   SelectorPlans,
   Rotations,
   RotationsDegraded,

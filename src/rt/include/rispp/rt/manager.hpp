@@ -145,9 +145,9 @@ class RisppManager {
 
   /// Re-evaluates the allocation without a new forecast — used after
   /// rotations complete when a previous reallocation was blocked by
-  /// in-flight transfers. When nothing changed since the cached plan
-  /// (no forecast activity, no completed rotation) this is a cheap early
-  /// return — the greedy selector does not re-run.
+  /// in-flight transfers. Every poll re-plans; one between completions
+  /// re-plans to the same plan and books nothing, so event-driven hosts
+  /// poll only at next_wakeup() (see docs/observability.md).
   void poll(Cycle now);
 
   /// Earliest cycle strictly after `t` at which polling can change the
@@ -215,9 +215,9 @@ class RisppManager {
   const RtConfig& config() const { return cfg_; }
 
  private:
-  /// The reallocation kernel, staged: plan (cached) → gate → cancel-stale →
-  /// issue. `reallocate` owns the plan cache; the stages below are pure
-  /// helpers over the cached plan.
+  /// The reallocation kernel, staged: re-plan → gate → cancel-stale →
+  /// issue, on every forecast, release and poll. The stages below act on
+  /// plan_, which the re-plan updates in place.
   void reallocate(Cycle now);
   bool gate_passes(const std::vector<ForecastDemand>& demands) const;
   /// Recomputes demands_' entry for `si` from its active windows.
@@ -236,7 +236,7 @@ class RisppManager {
   ContainerFile containers_;
   RotationScheduler rotations_;
   /// The two policies, built by key from RtConfig and called through their
-  /// interfaces (policy.hpp): selector_ plans on every stale reallocation,
+  /// interfaces (policy.hpp): selector_ re-plans on every reallocation,
   /// replacer_ picks one victim per booked rotation.
   std::unique_ptr<SelectionPolicy> selector_;
   std::unique_ptr<ReplacementPolicy> replacer_;
@@ -269,18 +269,9 @@ class RisppManager {
   /// attached (its sole consumer).
   std::map<std::pair<std::size_t, int>, std::uint32_t> last_exec_cycles_;
 
-  /// --- plan cache -----------------------------------------------------
-  /// The selector re-runs only when the demand set changed (generation
-  /// counter) or a rotation completed since the plan was computed. It
-  /// re-plans in place: plan_'s scan record is what it revalidates.
+  /// The current plan, re-planned in place by every reallocation: its scan
+  /// record is what the selector revalidates.
   SelectionPlan plan_;
-  std::uint64_t demand_generation_ = 0;
-  std::uint64_t plan_generation_ = ~std::uint64_t{0};  ///< none cached yet
-  Cycle plan_time_ = 0;
-  /// A rotation failed since the cached plan was computed: the failed load
-  /// must be re-issued (or planned around), so the plan is stale even
-  /// though no generation bump or completion marks it so.
-  bool failed_since_plan_ = false;
 
   /// --- execute() fast path --------------------------------------------
   /// The fastest option each SI can run on, memoized on the container

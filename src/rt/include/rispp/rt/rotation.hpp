@@ -66,11 +66,6 @@ class RotationScheduler {
   /// when `now` crosses this value.
   std::optional<Cycle> next_completion_after(Cycle t) const;
 
-  /// True when some booking completed in the window (after, upto] — i.e. a
-  /// rotation finished since the plan was last computed, which dirties any
-  /// cached SelectionPlan's notion of what is loaded.
-  bool completed_in(Cycle after, Cycle upto) const;
-
   /// Delivers (and forgets) every faulty booking whose transfer window has
   /// ended by `now`, in completion order. Empty forever with a fault-free
   /// port, so the zero-fault kernel path stays one dead branch.

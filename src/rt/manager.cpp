@@ -79,7 +79,6 @@ void RisppManager::forecast(std::size_t si, double expected_executions,
   state.demand = ForecastDemand{si, expectation, probability, task};
   state.executions_at_forecast = executions_[si];
   resum_demand(si);
-  ++demand_generation_;  // dirties the cached plan
 
   counters_.bump(Counter::Forecasts);
   if (batch_.enabled())
@@ -107,7 +106,6 @@ void RisppManager::forecast_release(std::size_t si, Cycle now, int task) {
 
   active_.erase(it);
   resum_demand(si);
-  ++demand_generation_;  // dirties the cached plan
   counters_.bump(Counter::ForecastReleases);
   if (batch_.enabled())
     batch_.emit({.at = now,
@@ -135,7 +133,6 @@ void RisppManager::process_failures(Cycle now) {
     counters_.bump(Counter::RotationsFailed);
     if (b.result == hw::TransferResult::Poisoned)
       counters_.bump(Counter::RotationsPoisoned);
-    failed_since_plan_ = true;
     ++state_generation_;  // the failed booking left the timeline; a backoff
                           // (or quarantine) changed the unblock horizon
     if (batch_.enabled())
@@ -165,37 +162,18 @@ void RisppManager::reallocate(Cycle now) {
   energy_.advance_leakage(now, loaded_slices());
   counters_.bump(Counter::Reallocations);
 
-  // --- plan stage (cached) -------------------------------------------
-  // The plan is a pure function of the demand set, so it only goes stale
-  // when a forecast fired/released (generation counter), a rotation
-  // completed since it was computed (a blocked issue stage may unblock,
-  // see docs/observability.md), a rotation failed (its load must be
-  // re-issued or planned around), or a fault-backoff window expired (its
-  // container became targetable again). Otherwise nothing downstream can
-  // act: victims unblock only at those points, committed atoms change only
-  // here.
-  const bool stale = plan_generation_ != demand_generation_ ||
-                     rotations_.completed_in(plan_time_, now) ||
-                     failed_since_plan_ ||
-                     containers_.unblocked_in(plan_time_, now);
-  if (stale) {
-    failed_since_plan_ = false;
+  // --- plan stage ----------------------------------------------------
+  // Plan against the in-service AC budget: quarantined containers are gone
+  // for good, so the selector must not count on their slots. The selector
+  // revalidates the previous plan's scan record when the demanded SIs and
+  // the budget are unchanged.
+  selector_->replan(demands_, containers_.usable_count(), plan_);
+  counters_.bump(Counter::SelectorPlans);
 
-    const auto& demands = demands_;
-    // Plan against the in-service AC budget: quarantined containers are
-    // gone for good, so the selector must not count on their slots. The
-    // selector revalidates the previous plan's scan record when the
-    // demanded SIs and the budget are unchanged.
-    selector_->replan(demands, containers_.usable_count(), plan_);
-    plan_generation_ = demand_generation_;
-    plan_time_ = now;
-    counters_.bump(Counter::SelectorPlans);
-
-    // --- gate / cancel-stale / issue stages ---------------------------
-    if (gate_passes(demands)) {
-      if (cfg_.cancel_stale_rotations) cancel_stale(now);
-      issue(now);
-    }
+  // --- gate / cancel-stale / issue stages -----------------------------
+  if (gate_passes(demands_)) {
+    if (cfg_.cancel_stale_rotations) cancel_stale(now);
+    issue(now);
   }
   // Reallocations are the batch's flush boundary: every forecast, release
   // and poll hands the buffered run to the sink here, so an attached

@@ -55,15 +55,6 @@ std::optional<Cycle> RotationScheduler::next_completion_after(Cycle t) const {
   return next;
 }
 
-bool RotationScheduler::completed_in(Cycle after, Cycle upto) const {
-  // Bookings are pruned lazily and only from schedule(), which always runs
-  // right after a fresh plan — so everything pruned away completed at or
-  // before the current plan's timestamp and can never fall in this window.
-  for (const auto& b : bookings_)
-    if (b.done > after && b.done <= upto) return true;
-  return false;
-}
-
 std::vector<RotationScheduler::Booking> RotationScheduler::take_failures(
     Cycle now) {
   // `done` is non-decreasing along faulty_ (the port is serial and appends

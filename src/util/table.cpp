@@ -6,6 +6,19 @@
 
 namespace rispp::util {
 
+namespace {
+
+/// The columns a cell takes: its UTF-8 code points, counted as the bytes
+/// that are not continuation bytes (10xxxxxx), so "→" is one column.
+std::size_t columns(const std::string& cell) {
+  return static_cast<std::size_t>(
+      std::count_if(cell.begin(), cell.end(), [](char c) {
+        return (static_cast<unsigned char>(c) & 0xC0) != 0x80;
+      }));
+}
+
+}  // namespace
+
 TextTable::TextTable(std::initializer_list<std::string> header)
     : header_(header) {}
 
@@ -42,7 +55,7 @@ std::string TextTable::str() const {
   auto widen = [&](const std::vector<std::string>& row) {
     if (widths.size() < row.size()) widths.resize(row.size(), 0);
     for (std::size_t i = 0; i < row.size(); ++i)
-      widths[i] = std::max(widths[i], row[i].size());
+      widths[i] = std::max(widths[i], columns(row[i]));
   };
   widen(header_);
   for (const auto& r : rows_) widen(r);
@@ -50,8 +63,8 @@ std::string TextTable::str() const {
   auto emit = [&](std::ostringstream& os, const std::vector<std::string>& row) {
     for (std::size_t i = 0; i < widths.size(); ++i) {
       const std::string& cell = i < row.size() ? row[i] : std::string();
-      os << (i ? "  " : "") << std::left << std::setw(static_cast<int>(widths[i]))
-         << cell;
+      os << (i ? "  " : "") << cell
+         << std::string(widths[i] - columns(cell), ' ');
     }
     os << "\n";
   };

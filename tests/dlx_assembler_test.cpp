@@ -32,13 +32,14 @@ TEST(Assembler, LabelsResolveForwardAndBackward) {
 
 TEST(Assembler, MemoryOperandsAndData) {
   const auto prog = assemble(
-      "  .data 10 20 0x1f -3\n"
+      "  .data 10 20 0x1f -3 0xffffffff\n"
       "  lw r1, 8(r2)\n"
       "  sw r1, -4(r3)\n"
       "  halt\n");
-  ASSERT_EQ(prog.data.size(), 4u);
+  ASSERT_EQ(prog.data.size(), 5u);
   EXPECT_EQ(prog.data[2], 0x1fu);
   EXPECT_EQ(prog.data[3], static_cast<std::uint32_t>(-3));
+  EXPECT_EQ(prog.data[4], 0xffffffffu);  // a 32-bit pattern, not an int32
   EXPECT_EQ(prog.code[0].imm, 8);
   EXPECT_EQ(prog.code[0].rs, 2);
   EXPECT_EQ(prog.code[1].imm, -4);
@@ -82,6 +83,10 @@ TEST(Assembler, ErrorsCarryLineNumbers) {
   expect_error_at("  add r1, r2\n", 1);                    // operand count
   expect_error_at("  addi r1, r0, xyz\n", 1);              // bad immediate
   expect_error_at("  addi r99, r0, 1\n", 1);               // bad register
+  expect_error_at("  addi r1, r0, 0x100000005\n", 1);      // over 32 bits
+  expect_error_at("  addi r1, r0, 010\n", 1);              // not octal
+  expect_error_at("  addi r1, r0, 2147483648\n", 1);       // over int32
+  expect_error_at("  addi r+5, r0, 1\n", 1);               // signed register
   expect_error_at("  lw r1, 8\n", 1);                      // missing (base)
   expect_error_at("nop\n  j nowhere\n  halt\n", 2);        // undefined label
   expect_error_at("a: nop\na: halt\n", 2);                 // duplicate label

@@ -315,6 +315,22 @@ TEST(StandardEval, SweepValidationFailsFastOnTypos) {
   Sweep bad_workload;
   bad_workload.axis("workload", {"doom"});
   EXPECT_THROW(validate_sim_sweep(bad_workload), PreconditionError);
+  // A key the evaluator does not read is an error naming it, not an axis
+  // silently run at the defaults: a misspelt knob, a removed one, and a
+  // misspelt lib_* axis (which would still swap in a default library).
+  const std::pair<const char*, const char*> unknown[] = {
+      {"workload=enc;contaners=4", "'contaners'"},
+      {"workload=enc;driving=poll-every-switch", "'driving'"},
+      {"workload=generated;lib_atom=5", "'lib_atom'"}};
+  for (const auto& [grid, key] : unknown) {
+    try {
+      validate_sim_sweep(Sweep::parse_grid(grid));
+      ADD_FAILURE() << "expected PreconditionError for " << grid;
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
   Sweep good;
   good.axis("workload", {"enc"}).axis("replacement", {"lru", "mru"});
   EXPECT_NO_THROW(validate_sim_sweep(good));

@@ -240,6 +240,19 @@ TEST(TextTable, AlignsAndGroups) {
   EXPECT_EQ(t.row_count(), 2u);
 }
 
+TEST(TextTable, PadsMultiByteCellsByCodePoints) {
+  // "→" is three UTF-8 bytes but one column: the next column of its row
+  // must line up with the ASCII row's.
+  TextTable t{"edge", "cycles"};
+  t.add_row({"a→b", "10"});
+  t.add_row({"abc", "20"});
+  EXPECT_EQ(t.str(),
+            "edge  cycles\n"
+            "------------\n"
+            "a→b   10    \n"
+            "abc   20    \n");
+}
+
 TEST(TextTable, GroupedNegative) {
   EXPECT_EQ(TextTable::grouped(-1234), "-1,234");
   EXPECT_EQ(TextTable::grouped(0), "0");
