@@ -23,6 +23,14 @@
 
 namespace rispp::obs {
 
+/// Ids in an event stream (task, SI, container) index dense state in
+/// the stream's producer (rt::RisppManager's upgrade rows) and consumer
+/// (obs::Profiler), counted from each id's first value (−1 for tasks).
+/// Platforms have a few thousand tasks at most and far fewer SIs and
+/// containers; an id at or past this many slots comes from a corrupt
+/// stream, and growing a vector to it would allocate without bound.
+inline constexpr std::int64_t kMaxDenseIds = std::int64_t{1} << 20;
+
 enum class EventKind {
   SiExecuted,        ///< one SI invocation completed (hw or sw Molecule)
   ForecastSeen,      ///< a Forecast point fired

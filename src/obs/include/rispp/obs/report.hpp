@@ -139,13 +139,16 @@ struct RunReport {
   std::uint64_t span_cycles() const { return last_cycle - first_cycle; }
 };
 
-/// Struct → JSON tree (deterministic member order, fixed number formats).
-json::Value to_json(const RunReport& r);
 /// JSON tree → struct; throws util::PreconditionError on missing fields or
 /// an unsupported version.
 RunReport report_from_json(const json::Value& v);
 
-/// Serialized report text (pretty-printed, trailing newline).
+/// Serialized report text, written straight into one string without a
+/// tree: members in a fixed order, in json::Value::dump(2)'s layout (two
+/// spaces per level, `[]` for an empty array, trailing newline), so
+/// `json::parse(text).dump(2) == text`. Integers are exact; doubles are
+/// fixed six-decimal tokens with trailing zeros trimmed; a non-finite
+/// double throws util::PreconditionError.
 std::string write_report(const RunReport& r);
 /// Parses text produced by write_report (or any schema-conforming JSON).
 RunReport read_report(const std::string& text);

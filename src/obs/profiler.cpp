@@ -9,17 +9,13 @@ namespace rispp::obs {
 
 namespace {
 
-/// Ids index dense vectors. Platforms have a few thousand tasks at most and
-/// far fewer SIs and containers; an id past this bound comes from a corrupt
-/// stream (say, a hand-edited CSV trace), and growing a vector to it would
-/// allocate without bound.
-constexpr std::int64_t kMaxIds = std::int64_t{1} << 20;
-
 /// The slot of `id` in `v`, whose ids start at `first`; grows `v` to it.
+/// An id kMaxDenseIds or more slots past `first` (say, from a hand-edited
+/// CSV trace) throws instead.
 template <class T>
 T& dense(std::vector<T>& v, std::int64_t id, std::int64_t first,
          const char* what) {
-  RISPP_REQUIRE(id >= first && id - first < kMaxIds,
+  RISPP_REQUIRE(id >= first && id - first < kMaxDenseIds,
                 std::string("profiler: ") + what + " id " +
                     std::to_string(id) + " is out of range");
   const auto i = static_cast<std::size_t>(id - first);

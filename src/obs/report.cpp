@@ -1,9 +1,10 @@
 #include "rispp/obs/report.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "rispp/util/error.hpp"
 
@@ -11,43 +12,126 @@ namespace rispp::obs {
 
 namespace {
 
-/// Fixed-format double token with trailing zeros trimmed — the same recipe
-/// as the chrome-trace exporter's timestamp formatting, so serialization is
-/// deterministic and locale-free.
-json::Value num(double x) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6f", x);
-  std::string s(buf);
-  s.erase(s.find_last_not_of('0') + 1);
-  if (!s.empty() && s.back() == '.') s.pop_back();
-  return json::Value::number(std::move(s));
+/// Appends JSON straight into a string in json::Value::dump(2)'s layout:
+/// every member or element on its own line, two spaces per depth, a
+/// non-empty container's closing bracket on its own line, an empty one
+/// kept as `[]` / `{}`. Keys are the report's own ASCII identifiers and
+/// are written as they are.
+class Writer {
+ public:
+  std::string take() {
+    out_ += '\n';
+    return std::move(out_);
+  }
+
+  /// Starts a member of the open object; its value follows.
+  Writer& key(std::string_view k) {
+    next();
+    out_ += '"';
+    out_ += k;
+    out_ += "\": ";
+    return *this;
+  }
+  /// Starts an element of the open array; its value follows.
+  Writer& item() {
+    next();
+    return *this;
+  }
+
+  void begin_object() { open('{'); }
+  void end_object() { close('}'); }
+  void begin_array() { open('['); }
+  void end_array() { close(']'); }
+
+  void u64(std::uint64_t x) { integer(x); }
+  void i64(std::int64_t x) { integer(x); }
+  /// Fixed six-decimal token with trailing zeros (and a bare '.') trimmed,
+  /// so serialization is deterministic and locale-free.
+  void real(double x) {
+    RISPP_REQUIRE(std::isfinite(x), "run report holds a non-finite number");
+    char buf[352];  // the longest finite double in fixed notation fits
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, x,
+                                         std::chars_format::fixed, 6);
+    RISPP_ENSURE(ec == std::errc{}, "fixed-format double overflowed");
+    std::string_view token(buf, static_cast<std::size_t>(end - buf));
+    token = token.substr(0, token.find_last_not_of('0') + 1);
+    if (token.back() == '.') token.remove_suffix(1);
+    out_ += token;
+  }
+  void str(const std::string& s) {
+    out_ += '"';
+    out_ += json::escape(s);
+    out_ += '"';
+  }
+
+ private:
+  void next() {
+    if (!empty_) out_ += ',';
+    empty_ = false;
+    newline();
+  }
+  void newline() {
+    out_ += '\n';
+    out_.append(2 * depth_, ' ');
+  }
+  void open(char bracket) {
+    out_ += bracket;
+    ++depth_;
+    empty_ = true;
+  }
+  void close(char bracket) {
+    --depth_;
+    if (!empty_) newline();
+    out_ += bracket;
+    empty_ = false;  // the closed container is its parent's element
+  }
+  template <class Int>
+  void integer(Int x) {
+    char buf[24];
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, x);
+    out_.append(buf, end);
+  }
+
+  std::string out_;
+  std::size_t depth_ = 0;
+  bool empty_ = true;  ///< the innermost open container has no element yet
+};
+
+void write_bound(Writer& w, std::string_view key,
+                 const util::PercentileBound& b) {
+  w.key(key).begin_array();
+  w.item().real(b.lower);
+  w.item().real(b.upper);
+  w.end_array();
 }
 
-json::Value num(std::uint64_t x) { return json::Value::number(x); }
+void write_digest(Writer& w, std::string_view key, const LatencyDigest& d) {
+  w.key(key).begin_object();
+  w.key("count").u64(d.count);
+  if (d.count > 0) {
+    w.key("min").u64(d.min);
+    w.key("max").u64(d.max);
+    w.key("mean").real(d.mean);
+    write_bound(w, "p50", d.p50);
+    write_bound(w, "p90", d.p90);
+    write_bound(w, "p99", d.p99);
+  }
+  w.end_object();
+}
 
-json::Value bound_json(const util::PercentileBound& b) {
-  auto v = json::Value::array();
-  v.push_back(num(b.lower));
-  v.push_back(num(b.upper));
-  return v;
+void write_buckets(Writer& w, const BucketSet& b) {
+  w.key("buckets").begin_object();
+  w.key("sw_exec").u64(b.sw_exec);
+  w.key("hw_exec").u64(b.hw_exec);
+  w.key("plain_compute").u64(b.plain_compute);
+  w.key("rotation_stall").u64(b.rotation_stall);
+  w.key("idle").u64(b.idle);
+  w.end_object();
 }
 
 util::PercentileBound bound_from(const json::Value& v) {
   RISPP_REQUIRE(v.items().size() == 2, "percentile bound must be [lo, hi]");
   return {v.items()[0].as_double(), v.items()[1].as_double()};
-}
-
-json::Value digest_json(const LatencyDigest& d) {
-  auto v = json::Value::object();
-  v.add("count", num(d.count));
-  if (d.count == 0) return v;
-  v.add("min", num(d.min));
-  v.add("max", num(d.max));
-  v.add("mean", num(d.mean));
-  v.add("p50", bound_json(d.p50));
-  v.add("p90", bound_json(d.p90));
-  v.add("p99", bound_json(d.p99));
-  return v;
 }
 
 LatencyDigest digest_from(const json::Value& v) {
@@ -63,16 +147,6 @@ LatencyDigest digest_from(const json::Value& v) {
   return d;
 }
 
-json::Value buckets_json(const BucketSet& b) {
-  auto v = json::Value::object();
-  v.add("sw_exec", num(b.sw_exec));
-  v.add("hw_exec", num(b.hw_exec));
-  v.add("plain_compute", num(b.plain_compute));
-  v.add("rotation_stall", num(b.rotation_stall));
-  v.add("idle", num(b.idle));
-  return v;
-}
-
 BucketSet buckets_from(const json::Value& v) {
   BucketSet b;
   b.sw_exec = v.at("sw_exec").as_u64();
@@ -84,90 +158,6 @@ BucketSet buckets_from(const json::Value& v) {
 }
 
 }  // namespace
-
-json::Value to_json(const RunReport& r) {
-  auto v = json::Value::object();
-  v.add("schema", json::Value::string("rispp.run_report"));
-  v.add("version", json::Value::number(static_cast<std::int64_t>(r.version)));
-  v.add("scenario", json::Value::string(r.scenario));
-
-  auto span = json::Value::object();
-  span.add("first_cycle", num(r.first_cycle));
-  span.add("last_cycle", num(r.last_cycle));
-  span.add("cycles", num(r.span_cycles()));
-  v.add("span", std::move(span));
-
-  auto counts = json::Value::object();
-  counts.add("events", num(r.counts.events));
-  counts.add("task_switches", num(r.counts.task_switches));
-  counts.add("forecasts", num(r.counts.forecasts));
-  counts.add("releases", num(r.counts.releases));
-  counts.add("rotations", num(r.counts.rotations));
-  counts.add("rotations_cancelled", num(r.counts.rotations_cancelled));
-  counts.add("rotations_failed", num(r.counts.rotations_failed));
-  counts.add("acs_quarantined", num(r.counts.acs_quarantined));
-  counts.add("evictions", num(r.counts.evictions));
-  counts.add("wasted_rotations", num(r.counts.wasted_rotations));
-  v.add("counts", std::move(counts));
-
-  v.add("buckets", buckets_json(r.buckets));
-
-  auto tasks = json::Value::array();
-  for (const auto& t : r.tasks) {
-    auto tv = json::Value::object();
-    tv.add("task", json::Value::number(static_cast<std::int64_t>(t.task)));
-    tv.add("name", json::Value::string(t.name));
-    tv.add("buckets", buckets_json(t.buckets));
-    tasks.push_back(std::move(tv));
-  }
-  v.add("tasks", std::move(tasks));
-
-  auto sis = json::Value::array();
-  for (const auto& s : r.sis) {
-    auto sv = json::Value::object();
-    sv.add("si", json::Value::number(s.si));
-    sv.add("name", json::Value::string(s.name));
-    sv.add("all", digest_json(s.all));
-    sv.add("hw", digest_json(s.hw));
-    sv.add("sw", digest_json(s.sw));
-    sv.add("forecast_lead", digest_json(s.forecast_lead));
-    sv.add("upgrades", num(s.upgrades));
-    sv.add("downgrades", num(s.downgrades));
-    sv.add("upgrade_gap", digest_json(s.upgrade_gap));
-    sis.push_back(std::move(sv));
-  }
-  v.add("sis", std::move(sis));
-
-  auto port = json::Value::object();
-  port.add("busy_cycles", num(r.port.busy_cycles));
-  port.add("utilization", num(r.port.utilization));
-  port.add("queueing", digest_json(r.port.queueing));
-  port.add("transfer", digest_json(r.port.transfer));
-  v.add("port", std::move(port));
-
-  auto containers = json::Value::array();
-  for (const auto& c : r.containers) {
-    auto cv = json::Value::object();
-    cv.add("container",
-           json::Value::number(static_cast<std::int64_t>(c.container)));
-    cv.add("rotations", num(c.rotations));
-    cv.add("wasted_rotations", num(c.wasted_rotations));
-    auto occ = json::Value::array();
-    for (const auto& seg : c.occupancy) {
-      auto ov = json::Value::object();
-      ov.add("atom", json::Value::number(seg.atom));
-      ov.add("name", json::Value::string(seg.atom_name));
-      ov.add("from", num(seg.from));
-      ov.add("to", num(seg.to));
-      ov.add("uses", num(seg.uses));
-      occ.push_back(std::move(ov));
-    }
-    cv.add("occupancy", std::move(occ));
-    containers.push_back(std::move(cv));
-  }
-  v.add("containers", std::move(containers));
-  return v;
-}
 
 RunReport report_from_json(const json::Value& v) {
   RISPP_REQUIRE(v.at("schema").as_string() == "rispp.run_report",
@@ -241,7 +231,90 @@ RunReport report_from_json(const json::Value& v) {
   return r;
 }
 
-std::string write_report(const RunReport& r) { return to_json(r).dump(2); }
+std::string write_report(const RunReport& r) {
+  Writer w;
+  w.begin_object();
+  w.key("schema").str("rispp.run_report");
+  w.key("version").i64(r.version);
+  w.key("scenario").str(r.scenario);
+
+  w.key("span").begin_object();
+  w.key("first_cycle").u64(r.first_cycle);
+  w.key("last_cycle").u64(r.last_cycle);
+  w.key("cycles").u64(r.span_cycles());
+  w.end_object();
+
+  w.key("counts").begin_object();
+  w.key("events").u64(r.counts.events);
+  w.key("task_switches").u64(r.counts.task_switches);
+  w.key("forecasts").u64(r.counts.forecasts);
+  w.key("releases").u64(r.counts.releases);
+  w.key("rotations").u64(r.counts.rotations);
+  w.key("rotations_cancelled").u64(r.counts.rotations_cancelled);
+  w.key("rotations_failed").u64(r.counts.rotations_failed);
+  w.key("acs_quarantined").u64(r.counts.acs_quarantined);
+  w.key("evictions").u64(r.counts.evictions);
+  w.key("wasted_rotations").u64(r.counts.wasted_rotations);
+  w.end_object();
+
+  write_buckets(w, r.buckets);
+
+  w.key("tasks").begin_array();
+  for (const auto& t : r.tasks) {
+    w.item().begin_object();
+    w.key("task").i64(t.task);
+    w.key("name").str(t.name);
+    write_buckets(w, t.buckets);
+    w.end_object();
+  }
+  w.end_array();
+
+  w.key("sis").begin_array();
+  for (const auto& s : r.sis) {
+    w.item().begin_object();
+    w.key("si").i64(s.si);
+    w.key("name").str(s.name);
+    write_digest(w, "all", s.all);
+    write_digest(w, "hw", s.hw);
+    write_digest(w, "sw", s.sw);
+    write_digest(w, "forecast_lead", s.forecast_lead);
+    w.key("upgrades").u64(s.upgrades);
+    w.key("downgrades").u64(s.downgrades);
+    write_digest(w, "upgrade_gap", s.upgrade_gap);
+    w.end_object();
+  }
+  w.end_array();
+
+  w.key("port").begin_object();
+  w.key("busy_cycles").u64(r.port.busy_cycles);
+  w.key("utilization").real(r.port.utilization);
+  write_digest(w, "queueing", r.port.queueing);
+  write_digest(w, "transfer", r.port.transfer);
+  w.end_object();
+
+  w.key("containers").begin_array();
+  for (const auto& c : r.containers) {
+    w.item().begin_object();
+    w.key("container").i64(c.container);
+    w.key("rotations").u64(c.rotations);
+    w.key("wasted_rotations").u64(c.wasted_rotations);
+    w.key("occupancy").begin_array();
+    for (const auto& seg : c.occupancy) {
+      w.item().begin_object();
+      w.key("atom").i64(seg.atom);
+      w.key("name").str(seg.atom_name);
+      w.key("from").u64(seg.from);
+      w.key("to").u64(seg.to);
+      w.key("uses").u64(seg.uses);
+      w.end_object();
+    }
+    w.end_array();
+    w.end_object();
+  }
+  w.end_array();
+  w.end_object();
+  return w.take();
+}
 
 RunReport read_report(const std::string& text) {
   return report_from_json(json::parse(text));

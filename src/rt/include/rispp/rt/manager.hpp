@@ -19,7 +19,6 @@
 /// hardware Molecules as rotations complete (Fig 6, T1–T5).
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -220,8 +219,13 @@ class RisppManager {
   /// plan_, which the re-plan updates in place.
   void reallocate(Cycle now);
   bool gate_passes(const std::vector<ForecastDemand>& demands) const;
-  /// Recomputes demands_' entry for `si` from its active windows.
+  /// Recomputes demands_' entry for `si` from its open windows.
   void resum_demand(std::size_t si);
+  /// (si, task)'s slot in last_exec_cycles_, creating the task's row on
+  /// first use. Task ids follow obs::Profiler's rule: from kNoTask, fewer
+  /// than obs::kMaxDenseIds of them; any other id throws
+  /// util::PreconditionError.
+  std::uint32_t& last_exec_cycles(std::size_t si, int task);
   void cancel_stale(Cycle now);
   void issue(Cycle now);
   /// Retire every rotation whose transfer ended Failed/Poisoned by `now`:
@@ -246,28 +250,37 @@ class RisppManager {
   /// boundaries / capacity / destruction. Order is preserved exactly.
   obs::EventBatch batch_;
 
-  struct DemandState {
-    ForecastDemand demand;
+  /// One task's open forecast window on an SI.
+  struct Window {
+    ForecastDemand demand;  ///< demand.task is the window's task
     /// executions_[si] when the forecast fired: the window observed
     /// executions_[si] - executions_at_forecast executions by its release.
     std::uint64_t executions_at_forecast = 0;
   };
-  /// Keyed by (SI index, forecasting task) — quasi-parallel tasks hold
-  /// independent demands on the same SI.
-  std::map<std::pair<std::size_t, int>, DemandState> active_;
-  /// active_ aggregated per SI, sorted by SI — see active_demands().
+  /// Open windows by SI index, each SI's sorted by ascending task id —
+  /// quasi-parallel tasks hold independent demands on the same SI. A
+  /// forecast overwrites its task's window in place or inserts it at its
+  /// place, a release erases it (a shift of at most the SI's open windows,
+  /// about 24 on phased_sweep), and resum_demand() walks one SI's windows
+  /// contiguously.
+  std::vector<std::vector<Window>> windows_;
+  /// windows_ aggregated per SI, sorted by SI — see active_demands().
   std::vector<ForecastDemand> demands_;
   /// Executions of each SI so far, by SI index. An execution counts against
   /// every window open on its SI; each window reads the difference at its
   /// release, so execute() touches no window.
   std::vector<std::uint64_t> executions_;
-  std::map<std::size_t, double> learned_;  ///< EWMA over release cycles
-  /// Last observed execution latency keyed per (SI, executing task) —
-  /// detects the SW→HW→faster-HW transitions reported as MoleculeUpgraded
-  /// events. Keying per task keeps one task's first observation from being
-  /// mistaken for another task's upgrade. Maintained only while a sink is
-  /// attached (its sole consumer).
-  std::map<std::pair<std::size_t, int>, std::uint32_t> last_exec_cycles_;
+  /// EWMA over release cycles, by SI index; empty until the SI's first
+  /// release.
+  std::vector<std::optional<double>> learned_;
+  /// Last observed execution latency per (executing task, SI) — detects
+  /// the SW→HW→faster-HW transitions reported as MoleculeUpgraded events.
+  /// Keying per task keeps one task's first observation from being
+  /// mistaken for another task's upgrade. One row of lib_->size() entries
+  /// per task id + 1 (task ids start at kNoTask), 0 = no observation yet;
+  /// a task's row is created the first time it executes with a sink
+  /// attached (the rows' sole consumer).
+  std::vector<std::uint32_t> last_exec_cycles_;
 
   /// The current plan, re-planned in place by every reallocation: its scan
   /// record is what the selector revalidates.

@@ -1,7 +1,6 @@
 #include "rispp/rt/manager.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "rispp/util/error.hpp"
@@ -10,6 +9,14 @@
 namespace rispp::rt {
 
 namespace {
+
+/// The first of `windows` (sorted by task) whose task is not below `task`.
+template <class Windows>
+auto find_window(Windows& windows, int task) {
+  return std::lower_bound(
+      windows.begin(), windows.end(), task,
+      [](const auto& w, int t) { return w.demand.task < t; });
+}
 
 std::string joined(const std::vector<std::string>& names) {
   std::string out;
@@ -58,7 +65,9 @@ RisppManager::RisppManager(std::shared_ptr<const isa::SiLibrary> lib,
       replacer_(make_replacement_policy(cfg_.replacement_policy)),
       energy_(cfg_.power, cfg_.clock_mhz),
       batch_(cfg_.sink),
+      windows_(lib_->size()),
       executions_(lib_->size(), 0),
+      learned_(lib_->size()),
       exec_memo_(lib_->size()) {}
 
 void RisppManager::forecast(std::size_t si, double expected_executions,
@@ -71,13 +80,16 @@ void RisppManager::forecast(std::size_t si, double expected_executions,
   // Monitoring (a): blend the compile-time value with what previous
   // forecast→release windows actually observed.
   double expectation = expected_executions;
-  if (const auto it = learned_.find(si); it != learned_.end())
-    expectation = cfg_.learning_rate * it->second +
+  if (const auto& learned = learned_[si])
+    expectation = cfg_.learning_rate * *learned +
                   (1.0 - cfg_.learning_rate) * expected_executions;
 
-  auto& state = active_[{si, task}];
-  state.demand = ForecastDemand{si, expectation, probability, task};
-  state.executions_at_forecast = executions_[si];
+  auto& windows = windows_[si];
+  auto it = find_window(windows, task);
+  if (it == windows.end() || it->demand.task != task)
+    it = windows.insert(it, Window{});
+  it->demand = ForecastDemand{si, expectation, probability, task};
+  it->executions_at_forecast = executions_[si];
   resum_demand(si);
 
   counters_.bump(Counter::Forecasts);
@@ -92,19 +104,20 @@ void RisppManager::forecast(std::size_t si, double expected_executions,
 }
 
 void RisppManager::forecast_release(std::size_t si, Cycle now, int task) {
-  const auto it = active_.find({si, task});
-  if (it == active_.end()) return;
+  if (si >= windows_.size()) return;
+  auto& windows = windows_[si];
+  const auto it = find_window(windows, task);
+  if (it == windows.end() || it->demand.task != task) return;
 
   // Learn from this window: what did the SI actually execute?
-  const double observed = static_cast<double>(
-      executions_[si] - it->second.executions_at_forecast);
-  if (const auto l = learned_.find(si); l != learned_.end())
-    l->second = cfg_.learning_rate * observed +
-                (1.0 - cfg_.learning_rate) * l->second;
-  else
-    learned_[si] = observed;
+  const double observed =
+      static_cast<double>(executions_[si] - it->executions_at_forecast);
+  auto& learned = learned_[si];
+  learned = learned ? cfg_.learning_rate * observed +
+                          (1.0 - cfg_.learning_rate) * *learned
+                    : observed;
 
-  active_.erase(it);
+  windows.erase(it);
   resum_demand(si);
   counters_.bump(Counter::ForecastReleases);
   if (batch_.enabled())
@@ -303,6 +316,12 @@ void RisppManager::poll(Cycle now) { reallocate(now); }
 RisppManager::ExecResult RisppManager::execute(std::size_t si, Cycle now,
                                                int task) {
   RISPP_REQUIRE(si < lib_->size(), "SI index out of range");
+  // Upgrade detection is keyed per (SI, task): a task's first execution of
+  // an SI is an observation, not an upgrade, even when another task already
+  // ran the same SI at a different speed. Looked up (and the task id
+  // checked) before anything changes.
+  std::uint32_t* const last =
+      batch_.enabled() ? &last_exec_cycles(si, task) : nullptr;
   process_failures(now);  // a poisoned load must never execute an SI
   containers_.refresh(now);
   energy_.advance_leakage(now, loaded_slices());
@@ -341,28 +360,35 @@ RisppManager::ExecResult RisppManager::execute(std::size_t si, Cycle now,
     res = {instr.software_cycles(), false, nullptr};
     counters_.bump(Counter::SiExecSw);
   }
-  if (batch_.enabled()) {
+  if (last) {
     batch_.emit({.at = now,
                  .kind = obs::EventKind::SiExecuted,
                  .task = task,
                  .si = static_cast<std::int64_t>(si),
                  .cycles = res.cycles,
                  .hardware = res.hardware});
-    // Upgrade detection is keyed per (SI, task): a task's first execution
-    // of an SI is an observation, not an upgrade, even when another task
-    // already ran the same SI at a different speed.
-    auto& last = last_exec_cycles_[{si, task}];
-    if (last != 0 && last != res.cycles)
+    if (*last != 0 && *last != res.cycles)
       batch_.emit({.at = now,
                    .kind = obs::EventKind::MoleculeUpgraded,
                    .task = task,
                    .si = static_cast<std::int64_t>(si),
                    .cycles = res.cycles,
-                   .prev_cycles = last,
+                   .prev_cycles = *last,
                    .hardware = res.hardware});
-    last = res.cycles;
+    *last = res.cycles;
   }
   return res;
+}
+
+std::uint32_t& RisppManager::last_exec_cycles(std::size_t si, int task) {
+  const auto row = std::int64_t{task} - kNoTask;
+  RISPP_REQUIRE(row >= 0 && row < obs::kMaxDenseIds,
+                "task id " + std::to_string(task) + " is out of range");
+  const auto at = static_cast<std::size_t>(row) * lib_->size() + si;
+  if (at >= last_exec_cycles_.size())
+    last_exec_cycles_.resize((static_cast<std::size_t>(row) + 1) *
+                             lib_->size());
+  return last_exec_cycles_[at];
 }
 
 atom::Molecule RisppManager::available_atoms(Cycle now) {
@@ -373,13 +399,12 @@ atom::Molecule RisppManager::available_atoms(Cycle now) {
 
 void RisppManager::resum_demand(std::size_t si) {
   // Aggregate SI si's windows: weights (expectation × probability) sum
-  // across tasks, in ascending task order — the order a rebuild over all of
-  // active_ would use, so the sum is bit-identical to it. The task goes to
+  // across tasks, in ascending task order — the order a rebuild over all
+  // windows would use, so the sum is bit-identical to it. The task goes to
   // the window heavier than the running sum.
   std::optional<ForecastDemand> merged;
-  for (auto it = active_.lower_bound({si, std::numeric_limits<int>::min()});
-       it != active_.end() && it->first.first == si; ++it) {
-    const auto& d = it->second.demand;
+  for (const auto& w : windows_[si]) {
+    const auto& d = w.demand;
     if (!merged) {
       // Normalize so weight() is preserved under probability = 1.
       merged = d;
@@ -403,9 +428,8 @@ void RisppManager::resum_demand(std::size_t si) {
 }
 
 std::optional<double> RisppManager::learned_expectation(std::size_t si) const {
-  const auto it = learned_.find(si);
-  if (it == learned_.end()) return std::nullopt;
-  return it->second;
+  if (si >= learned_.size()) return std::nullopt;
+  return learned_[si];
 }
 
 }  // namespace rispp::rt

@@ -1,11 +1,14 @@
 /// Run-report serialization: the JSON substrate (ordered objects, token-
 /// preserving numbers), byte-stable write→read→write round trips, the
-/// checked-in fig06 report golden, and the tolerance-aware diff used by
-/// `rispp_report diff` and the CI regression gate.
+/// checked-in fig06 report golden, the direct writer's edge cases against
+/// the tree dumper, and the tolerance-aware diff used by `rispp_report
+/// diff` and the CI regression gate.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "rispp/obs/csv_trace.hpp"
@@ -125,6 +128,97 @@ TEST(ReportRoundTrip, RejectsForeignSchemaAndVersion) {
       PreconditionError);
   EXPECT_THROW(read_report_file("/nonexistent/report.json"),
                PreconditionError);
+}
+
+/// Reports built by hand around the writer's edge cases. The tree dumper
+/// (json::Value::dump(2)) is the layout oracle: the flight recorder,
+/// telemetry, sweep summaries and manifests still write through it, so a
+/// report that parses and re-dumps to itself is in the one JSON layout.
+RunReport empty_report() {
+  RunReport r;
+  r.scenario = "empty";  // no tasks, SIs or containers
+  return r;
+}
+
+LatencyDigest full_digest(double mean) {
+  LatencyDigest d;
+  d.count = 3;
+  d.min = 1;
+  d.max = UINT64_MAX;
+  d.mean = mean;
+  d.p50 = {0.0000005, 1.2345675};
+  d.p90 = {123456.999999951, 1e6};
+  d.p99 = {-0.0, 2.5};
+  return d;
+}
+
+RunReport edge_report() {
+  RunReport r;
+  r.scenario = "quote\" backslash\\ newline\n ctrl\x01";
+  r.first_cycle = 0;
+  r.last_cycle = UINT64_MAX;
+  r.counts.events = UINT64_MAX;
+  r.buckets.idle = UINT64_MAX;
+  r.tasks.push_back({-1, "no task \"-1\"", {}});
+  r.tasks.push_back({7, "t\\7\n", {1, 2, 3, 4, UINT64_MAX - 10}});
+  SiReport si;
+  si.si = 0;
+  si.name = "SI \"\x01\"";
+  si.all = full_digest(1.2345675);
+  si.hw = full_digest(0.0000005);  // a full digest beside an empty one
+  si.forecast_lead = full_digest(123456.999999951);
+  si.upgrades = UINT64_MAX;
+  si.upgrade_gap = full_digest(-0.0);
+  r.sis.push_back(si);
+  r.port.busy_cycles = 12;
+  r.port.utilization = -0.0;
+  r.port.transfer = full_digest(2.0);
+  ContainerReport idle_ac;
+  idle_ac.container = 0;  // never loaded: empty occupancy
+  r.containers.push_back(idle_ac);
+  ContainerReport ac;
+  ac.container = 1;
+  ac.rotations = UINT64_MAX;
+  ac.occupancy.push_back({-1, "none\n", 0, UINT64_MAX, 0});
+  ac.occupancy.push_back({3, "\\atom\"", 5, 9, 2});
+  r.containers.push_back(ac);
+  return r;
+}
+
+TEST(ReportWriter, EdgeCasesKeepTheTreeDumpersLayoutAndRoundTrip) {
+  for (const auto& report : {empty_report(), edge_report()}) {
+    SCOPED_TRACE(report.scenario);
+    const auto text = write_report(report);
+    EXPECT_EQ(json::parse(text).dump(2), text);
+    EXPECT_EQ(write_report(read_report(text)), text);
+  }
+  const auto empty = write_report(empty_report());
+  EXPECT_NE(empty.find("\"tasks\": [],\n  \"sis\": [],"), std::string::npos);
+  EXPECT_NE(empty.find("\"containers\": []\n}\n"), std::string::npos);
+
+  const auto text = write_report(edge_report());
+  for (const char* token :
+       {"\"count\": 0\n", "\"occupancy\": []", "\"task\": -1,",
+        "\"atom\": -1,", "\"cycles\": 18446744073709551615\n",
+        "\"utilization\": -0,", "\"mean\": 0,", "\"mean\": 1.234568,",
+        "\"mean\": 123457,", "\"mean\": -0,", "\"mean\": 2,",
+        "ctrl\\u0001\",", "quote\\\" backslash\\\\ newline\\n"})
+    EXPECT_NE(text.find(token), std::string::npos) << token;
+  // Only the numbers' text is checked above; the values survive too.
+  const auto back = read_report(text);
+  EXPECT_EQ(back.scenario, edge_report().scenario);
+  EXPECT_EQ(back.span_cycles(), UINT64_MAX);
+  EXPECT_EQ(back.sis.at(0).sw.count, 0u);
+  EXPECT_EQ(back.containers.at(1).occupancy.at(0).atom, -1);
+}
+
+TEST(ReportWriter, NonFiniteDoublesThrow) {
+  auto r = edge_report();
+  r.port.utilization = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(write_report(r), PreconditionError);
+  r = edge_report();
+  r.sis.at(0).all.mean = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(write_report(r), PreconditionError);
 }
 
 TEST(ReportDiff, IdenticalReportsHaveNoDivergences) {

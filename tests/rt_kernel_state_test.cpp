@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "genlib_fixture.hpp"
 #include "rispp/rt/manager.hpp"
@@ -127,12 +129,17 @@ struct ExecCoverage {
   int after_quarantine = 0;
 };
 
-/// Random multi-task forecast / execute / release sequences, checked after
-/// every call. Each sequence includes a re-forecast of a live window and a
-/// release of a window that was never opened.
+/// Task ids −1..4: every id a neighbour of another.
+const std::vector<int> kDenseTasks{-1, 0, 1, 2, 3, 4};
+
+/// Random multi-task forecast / execute / release sequences over the given
+/// task ids (ascending), checked after every call. Each sequence includes a
+/// re-forecast of a live window and releases of windows that were never
+/// opened.
 ExecCoverage run_sequence(const SiLibrary& lib, std::uint64_t seed,
                           double rate,
-                          const FaultModel& faults = FaultModel::none()) {
+                          const FaultModel& faults = FaultModel::none(),
+                          const std::vector<int>& tasks = kDenseTasks) {
   RtConfig cfg;
   cfg.atom_containers = 4;
   cfg.learning_rate = rate;
@@ -143,7 +150,7 @@ ExecCoverage run_sequence(const SiLibrary& lib, std::uint64_t seed,
   Model model(rate);
   rispp::util::Xoshiro256 rng(seed);
   const auto sis = lib.size();
-  const auto random_task = [&] { return static_cast<int>(rng.below(6)) - 1; };
+  const auto random_task = [&] { return tasks[rng.below(tasks.size())]; };
   Cycle now = 0;
   bool reforecast_live = false;
   for (int op = 0; op < 1500; ++op) {
@@ -183,12 +190,14 @@ ExecCoverage run_sequence(const SiLibrary& lib, std::uint64_t seed,
   }
   EXPECT_TRUE(reforecast_live) << "sequence never re-forecast a live window";
 
-  // Releasing a window nobody opened (a task id no forecast used) changes
-  // nothing.
+  // Releasing a window nobody opened (a task id no forecast used, or an SI
+  // past the library) changes nothing.
   const auto before = mgr.active_demands();
-  mgr.forecast_release(0, now + 1, 1000);
-  model.release(0, 1000);
+  mgr.forecast_release(0, now + 1, tasks.back() + 1);
+  model.release(0, tasks.back() + 1);
+  mgr.forecast_release(sis + 3, now + 2, tasks.front());
   EXPECT_EQ(mgr.active_demands().size(), before.size());
+  EXPECT_EQ(mgr.learned_expectation(sis + 3), std::nullopt);
   expect_matches(mgr, model, sis);
   return cov;
 }
@@ -204,6 +213,18 @@ TEST(KernelState, DemandsAndLearningMatchRebuildOnGeneratedLibraries) {
   for (std::uint64_t seed = 1; seed <= 40; seed += 3) {
     SCOPED_TRACE("genlib seed " + std::to_string(seed));
     run_sequence(genlib_fixture::generated_library(seed), seed, 0.3);
+  }
+}
+
+TEST(KernelState, SparseTaskIdsMatchRebuild) {
+  // Windows of ids far apart insert at both ends of an SI's list and into
+  // the gaps between, in every order the draws give.
+  const std::vector<int> sparse{-1, 0, 5, 63, 1000};
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    run_sequence(SiLibrary::h264(), seed, 0.5, FaultModel::none(), sparse);
+    run_sequence(genlib_fixture::generated_library(seed), seed, 0.3,
+                 FaultModel::none(), sparse);
   }
 }
 

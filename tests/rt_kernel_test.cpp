@@ -3,7 +3,8 @@
 /// event stream byte-for-byte, the kernel's entry and plan counts on a
 /// polling-heavy co-run are pinned under both drivings, every reallocation
 /// re-plans and a poll between completions changes nothing, and
-/// Molecule-upgrade detection must not leak across tasks.
+/// Molecule-upgrade detection must not leak across tasks and takes only
+/// task ids the profiler takes.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "rispp/rt/manager.hpp"
 #include "rispp/sim/observe.hpp"
 #include "rispp/sim/simulator.hpp"
+#include "rispp/util/error.hpp"
 #include "rispp/workload/trace_source.hpp"
 
 namespace {
@@ -223,6 +225,24 @@ TEST(MoleculeUpgrade, FirstObservationOfAnotherTaskIsNotAnUpgrade) {
   EXPECT_EQ(task1_upgrades, 0u);
   // Task 0 genuinely went HW → SW.
   EXPECT_EQ(task0_upgrades, 1u);
+}
+
+TEST(MoleculeUpgrade, ExecuteWithASinkRejectsTaskIdsTheProfilerWould) {
+  // Upgrade rows are dense by task id, under obs::Profiler's rule: ids
+  // from −1 (no task), fewer than obs::kMaxDenseIds of them.
+  const auto lib = rispp::isa::parse_si_library(kTwoTaskLibrary);
+  rispp::obs::TraceRecorder recorder;
+  RtConfig cfg;
+  cfg.sink = &recorder;
+  RisppManager mgr(borrow(lib), cfg);
+  EXPECT_NO_THROW(mgr.execute(0, 10, -1));
+  EXPECT_THROW(mgr.execute(0, 20, -2), rispp::util::PreconditionError);
+  EXPECT_THROW(mgr.execute(0, 30, 1 << 20), rispp::util::PreconditionError);
+  // A rejected call executes nothing.
+  mgr.flush_events();
+  ASSERT_EQ(recorder.events().size(), 1u);
+  EXPECT_EQ(recorder.events()[0].task, -1);
+  EXPECT_EQ(mgr.counters().get("si_exec_sw"), 1u);
 }
 
 }  // namespace
