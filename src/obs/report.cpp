@@ -43,8 +43,12 @@ class Writer {
   void begin_array() { open('['); }
   void end_array() { close(']'); }
 
-  void u64(std::uint64_t x) { integer(x); }
-  void i64(std::int64_t x) { integer(x); }
+  template <class Int>
+  void integer(Int x) {
+    char buf[24];
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, x);
+    out_.append(buf, end);
+  }
   /// Fixed six-decimal token with trailing zeros (and a bare '.') trimmed,
   /// so serialization is deterministic and locale-free.
   void real(double x) {
@@ -85,12 +89,6 @@ class Writer {
     out_ += bracket;
     empty_ = false;  // the closed container is its parent's element
   }
-  template <class Int>
-  void integer(Int x) {
-    char buf[24];
-    const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, x);
-    out_.append(buf, end);
-  }
 
   std::string out_;
   std::size_t depth_ = 0;
@@ -107,10 +105,10 @@ void write_bound(Writer& w, std::string_view key,
 
 void write_digest(Writer& w, std::string_view key, const LatencyDigest& d) {
   w.key(key).begin_object();
-  w.key("count").u64(d.count);
+  w.key("count").integer(d.count);
   if (d.count > 0) {
-    w.key("min").u64(d.min);
-    w.key("max").u64(d.max);
+    w.key("min").integer(d.min);
+    w.key("max").integer(d.max);
     w.key("mean").real(d.mean);
     write_bound(w, "p50", d.p50);
     write_bound(w, "p90", d.p90);
@@ -121,11 +119,11 @@ void write_digest(Writer& w, std::string_view key, const LatencyDigest& d) {
 
 void write_buckets(Writer& w, const BucketSet& b) {
   w.key("buckets").begin_object();
-  w.key("sw_exec").u64(b.sw_exec);
-  w.key("hw_exec").u64(b.hw_exec);
-  w.key("plain_compute").u64(b.plain_compute);
-  w.key("rotation_stall").u64(b.rotation_stall);
-  w.key("idle").u64(b.idle);
+  w.key("sw_exec").integer(b.sw_exec);
+  w.key("hw_exec").integer(b.hw_exec);
+  w.key("plain_compute").integer(b.plain_compute);
+  w.key("rotation_stall").integer(b.rotation_stall);
+  w.key("idle").integer(b.idle);
   w.end_object();
 }
 
@@ -235,26 +233,26 @@ std::string write_report(const RunReport& r) {
   Writer w;
   w.begin_object();
   w.key("schema").str("rispp.run_report");
-  w.key("version").i64(r.version);
+  w.key("version").integer(r.version);
   w.key("scenario").str(r.scenario);
 
   w.key("span").begin_object();
-  w.key("first_cycle").u64(r.first_cycle);
-  w.key("last_cycle").u64(r.last_cycle);
-  w.key("cycles").u64(r.span_cycles());
+  w.key("first_cycle").integer(r.first_cycle);
+  w.key("last_cycle").integer(r.last_cycle);
+  w.key("cycles").integer(r.span_cycles());
   w.end_object();
 
   w.key("counts").begin_object();
-  w.key("events").u64(r.counts.events);
-  w.key("task_switches").u64(r.counts.task_switches);
-  w.key("forecasts").u64(r.counts.forecasts);
-  w.key("releases").u64(r.counts.releases);
-  w.key("rotations").u64(r.counts.rotations);
-  w.key("rotations_cancelled").u64(r.counts.rotations_cancelled);
-  w.key("rotations_failed").u64(r.counts.rotations_failed);
-  w.key("acs_quarantined").u64(r.counts.acs_quarantined);
-  w.key("evictions").u64(r.counts.evictions);
-  w.key("wasted_rotations").u64(r.counts.wasted_rotations);
+  w.key("events").integer(r.counts.events);
+  w.key("task_switches").integer(r.counts.task_switches);
+  w.key("forecasts").integer(r.counts.forecasts);
+  w.key("releases").integer(r.counts.releases);
+  w.key("rotations").integer(r.counts.rotations);
+  w.key("rotations_cancelled").integer(r.counts.rotations_cancelled);
+  w.key("rotations_failed").integer(r.counts.rotations_failed);
+  w.key("acs_quarantined").integer(r.counts.acs_quarantined);
+  w.key("evictions").integer(r.counts.evictions);
+  w.key("wasted_rotations").integer(r.counts.wasted_rotations);
   w.end_object();
 
   write_buckets(w, r.buckets);
@@ -262,7 +260,7 @@ std::string write_report(const RunReport& r) {
   w.key("tasks").begin_array();
   for (const auto& t : r.tasks) {
     w.item().begin_object();
-    w.key("task").i64(t.task);
+    w.key("task").integer(t.task);
     w.key("name").str(t.name);
     write_buckets(w, t.buckets);
     w.end_object();
@@ -272,21 +270,21 @@ std::string write_report(const RunReport& r) {
   w.key("sis").begin_array();
   for (const auto& s : r.sis) {
     w.item().begin_object();
-    w.key("si").i64(s.si);
+    w.key("si").integer(s.si);
     w.key("name").str(s.name);
     write_digest(w, "all", s.all);
     write_digest(w, "hw", s.hw);
     write_digest(w, "sw", s.sw);
     write_digest(w, "forecast_lead", s.forecast_lead);
-    w.key("upgrades").u64(s.upgrades);
-    w.key("downgrades").u64(s.downgrades);
+    w.key("upgrades").integer(s.upgrades);
+    w.key("downgrades").integer(s.downgrades);
     write_digest(w, "upgrade_gap", s.upgrade_gap);
     w.end_object();
   }
   w.end_array();
 
   w.key("port").begin_object();
-  w.key("busy_cycles").u64(r.port.busy_cycles);
+  w.key("busy_cycles").integer(r.port.busy_cycles);
   w.key("utilization").real(r.port.utilization);
   write_digest(w, "queueing", r.port.queueing);
   write_digest(w, "transfer", r.port.transfer);
@@ -295,17 +293,17 @@ std::string write_report(const RunReport& r) {
   w.key("containers").begin_array();
   for (const auto& c : r.containers) {
     w.item().begin_object();
-    w.key("container").i64(c.container);
-    w.key("rotations").u64(c.rotations);
-    w.key("wasted_rotations").u64(c.wasted_rotations);
+    w.key("container").integer(c.container);
+    w.key("rotations").integer(c.rotations);
+    w.key("wasted_rotations").integer(c.wasted_rotations);
     w.key("occupancy").begin_array();
     for (const auto& seg : c.occupancy) {
       w.item().begin_object();
-      w.key("atom").i64(seg.atom);
+      w.key("atom").integer(seg.atom);
       w.key("name").str(seg.atom_name);
-      w.key("from").u64(seg.from);
-      w.key("to").u64(seg.to);
-      w.key("uses").u64(seg.uses);
+      w.key("from").integer(seg.from);
+      w.key("to").integer(seg.to);
+      w.key("uses").integer(seg.uses);
       w.end_object();
     }
     w.end_array();

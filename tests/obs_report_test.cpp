@@ -131,9 +131,9 @@ TEST(ReportRoundTrip, RejectsForeignSchemaAndVersion) {
 }
 
 /// Reports built by hand around the writer's edge cases. The tree dumper
-/// (json::Value::dump(2)) is the layout oracle: the flight recorder,
-/// telemetry, sweep summaries and manifests still write through it, so a
-/// report that parses and re-dumps to itself is in the one JSON layout.
+/// (json::Value::dump(2)) is the layout oracle: the flight recorder and
+/// the sweep summary still write through it, so a report that parses and
+/// re-dumps to itself is in their layout.
 RunReport empty_report() {
   RunReport r;
   r.scenario = "empty";  // no tasks, SIs or containers
