@@ -125,6 +125,36 @@ TEST(HostChromeTrace, SpansBecomeCompleteEventsOnePerThreadTrack) {
   EXPECT_EQ(complete[0]->at("dur").token(), "10");
 }
 
+TEST(HostChromeTrace, GoldenFile) {
+  // Pin the exact host-trace bytes: the pid-2 process and per-thread track
+  // metadata (thread 1 is named though it recorded nothing), an escaped
+  // detail, and three-decimal microsecond ts/dur for durations of 0, 1,
+  // 1500 and 123456789 ns.
+  const std::vector<TelemetrySpan> spans = {
+      {.name = "sweep", .start_ns = 0, .end_ns = 123456789, .thread = 0},
+      {.name = "point", .detail = "#\"7\"\\\n\t", .start_ns = 1000,
+       .end_ns = 1000, .thread = 2, .depth = 1},
+      {.name = "point.sim", .start_ns = 2500, .end_ns = 2501, .thread = 2,
+       .depth = 2},
+      {.name = "sink.flush", .start_ns = 120000001, .end_ns = 120001501,
+       .thread = 0, .depth = 1},
+  };
+  std::ostringstream os;
+  write_host_chrome_trace(os, spans);
+  const std::string expected = R"({"displayTimeUnit":"ms","traceEvents":[
+{"name":"process_name","ph":"M","pid":2,"tid":0,"args":{"name":"rispp host"}},
+{"name":"thread_name","ph":"M","pid":2,"tid":0,"args":{"name":"host"}},
+{"name":"thread_name","ph":"M","pid":2,"tid":1,"args":{"name":"worker 1"}},
+{"name":"thread_name","ph":"M","pid":2,"tid":2,"args":{"name":"worker 2"}},
+{"name":"sweep","ph":"X","pid":2,"tid":0,"ts":0,"dur":123456.789,"args":{"depth":0}},
+{"name":"point #\"7\"\\\n\t","ph":"X","pid":2,"tid":2,"ts":1,"dur":0,"args":{"depth":1}},
+{"name":"point.sim","ph":"X","pid":2,"tid":2,"ts":2.5,"dur":0.001,"args":{"depth":2}},
+{"name":"sink.flush","ph":"X","pid":2,"tid":0,"ts":120000.001,"dur":1.5,"args":{"depth":1}}
+]}
+)";
+  EXPECT_EQ(os.str(), expected);
+}
+
 TEST(FlightRing, BoundsRetentionAndCountsDrops) {
   FlightRing ring;
   const std::size_t n = FlightRing::kCapacity + 37;

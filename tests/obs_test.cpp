@@ -113,23 +113,54 @@ TEST(CsvTrace, RejectsMalformedInput) {
 }
 
 TEST(ChromeTrace, GoldenFile) {
-  // Pin the exact exporter output for a 3-event stream: track metadata,
-  // microsecond conversion (100 MHz → cycles/100), span + instant shapes,
-  // and the appended counter tracks (port busy/queue, cycle buckets).
+  // Pin the exact exporter output for a stream holding one event of every
+  // kind: track metadata, microsecond conversion (64 MHz → cycles/64, so
+  // cycle 1 needs all six decimals), span and instant shapes, a cancelled
+  // booking (no span, queue counter only), a failed transfer and the
+  // quarantine it caused, escaping of a task name with every character
+  // class JSON must escape, and the appended counter tracks (port
+  // busy/queue, cycle buckets).
+  auto meta = tiny_meta();
+  meta.clock_mhz = 64.0;
+  meta.task_names = {"A", "B\"\\\n\t\x01"};
   const std::vector<Event> events = {
       {.at = 0, .kind = EventKind::TaskSwitch, .task = 0},
-      si_exec(100, 0, 0, 544, false),
-      {.at = 10, .kind = EventKind::RotationStarted, .task = 0, .container = 1,
+      {.at = 0, .kind = EventKind::ForecastSeen, .task = 0, .si = 0},
+      {.at = 1, .kind = EventKind::AtomEvicted, .task = 0, .container = 1,
+       .atom = 0},
+      {.at = 1, .kind = EventKind::RotationStarted, .task = 0, .container = 1,
        .si = 0, .atom = 0, .cycles = 500},
+      {.at = 501, .kind = EventKind::RotationFinished, .task = 0,
+       .container = 1, .si = 0, .atom = 0, .cycles = 500},
+      si_exec(100, 0, 0, 544, false),
+      {.at = 700, .kind = EventKind::MoleculeUpgraded, .task = 0, .si = 0,
+       .cycles = 24, .prev_cycles = 544, .hardware = true},
+      si_exec(700, 0, 0, 24, true),
+      {.at = 800, .kind = EventKind::TaskSwitch, .task = 1},
+      {.at = 1000, .kind = EventKind::RotationStarted, .task = 1,
+       .container = 0, .si = 0, .atom = 0, .cycles = 500,
+       .prev_cycles = 900},
+      {.at = 950, .kind = EventKind::RotationCancelled, .task = 1,
+       .container = 0, .atom = 0, .cycles = 500, .prev_cycles = 1000},
+      {.at = 1200, .kind = EventKind::RotationStarted, .task = 1,
+       .container = 1, .si = 0, .atom = 0, .cycles = 500,
+       .prev_cycles = 1100},
+      {.at = 1700, .kind = EventKind::RotationFailed, .task = 1,
+       .container = 1, .atom = 0, .cycles = 500, .prev_cycles = 1200},
+      {.at = 1700, .kind = EventKind::AcQuarantined, .container = 1},
+      {.at = 1800, .kind = EventKind::ForecastReleased, .task = 1, .si = 0},
+      {.at = 2000, .kind = EventKind::TaskSwitch, .task = 0},
   };
   std::ostringstream os;
-  write_chrome_trace(os, events, tiny_meta());
+  write_chrome_trace(os, events, meta);
   const std::string expected = R"({"displayTimeUnit":"ms","traceEvents":[
 {"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"rispp"}},
 {"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"scheduler"}},
 {"name":"thread_sort_index","ph":"M","pid":1,"tid":0,"args":{"sort_index":0}},
 {"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"task A"}},
 {"name":"thread_sort_index","ph":"M","pid":1,"tid":1,"args":{"sort_index":1}},
+{"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"task B\"\\\n\t\u0001"}},
+{"name":"thread_sort_index","ph":"M","pid":1,"tid":2,"args":{"sort_index":2}},
 {"name":"thread_name","ph":"M","pid":1,"tid":50,"args":{"name":"SelectMap port"}},
 {"name":"thread_sort_index","ph":"M","pid":1,"tid":50,"args":{"sort_index":50}},
 {"name":"thread_name","ph":"M","pid":1,"tid":100,"args":{"name":"AC 0"}},
@@ -137,14 +168,34 @@ TEST(ChromeTrace, GoldenFile) {
 {"name":"thread_name","ph":"M","pid":1,"tid":101,"args":{"name":"AC 1"}},
 {"name":"thread_sort_index","ph":"M","pid":1,"tid":101,"args":{"sort_index":101}},
 {"name":"switch → A","cat":"sched","ph":"i","s":"t","ts":0,"pid":1,"tid":0,"args":{"task":"A"}},
-{"name":"SATD","cat":"si","ph":"X","ts":1,"dur":5.44,"pid":1,"tid":1,"args":{"cycles":544,"molecule":"sw"}},
-{"name":"rotate Transform","cat":"rotation","ph":"X","ts":0.1,"dur":5,"pid":1,"tid":101,"args":{"atom":"Transform","container":1,"cycles":500}},
-{"name":"rotate Transform → AC 1","cat":"rotation","ph":"X","ts":0.1,"dur":5,"pid":1,"tid":50,"args":{"atom":"Transform","container":1,"cycles":500}},
-{"name":"port busy","cat":"counter","ph":"C","ts":0.1,"pid":1,"args":{"busy":1}},
-{"name":"port busy","cat":"counter","ph":"C","ts":5.1,"pid":1,"args":{"busy":0}},
+{"name":"forecast SATD","cat":"forecast","ph":"i","s":"t","ts":0,"pid":1,"tid":1,"args":{"si":"SATD"}},
+{"name":"evict Transform","cat":"rotation","ph":"i","s":"t","ts":0.015625,"pid":1,"tid":101,"args":{"atom":"Transform"}},
+{"name":"rotate Transform","cat":"rotation","ph":"X","ts":0.015625,"dur":7.8125,"pid":1,"tid":101,"args":{"atom":"Transform","container":1,"cycles":500}},
+{"name":"rotate Transform → AC 1","cat":"rotation","ph":"X","ts":0.015625,"dur":7.8125,"pid":1,"tid":50,"args":{"atom":"Transform","container":1,"cycles":500}},
+{"name":"SATD","cat":"si","ph":"X","ts":1.5625,"dur":8.5,"pid":1,"tid":1,"args":{"cycles":544,"molecule":"sw"}},
+{"name":"upgrade SATD","cat":"upgrade","ph":"i","s":"t","ts":10.9375,"pid":1,"tid":1,"args":{"from_cycles":544,"to_cycles":24,"molecule":"hw"}},
+{"name":"SATD","cat":"si","ph":"X","ts":10.9375,"dur":0.375,"pid":1,"tid":1,"args":{"cycles":24,"molecule":"hw"}},
+{"name":"switch → B\"\\\n\t\u0001","cat":"sched","ph":"i","s":"t","ts":12.5,"pid":1,"tid":0,"args":{"task":"B\"\\\n\t\u0001"}},
+{"name":"cancel Transform","cat":"rotation","ph":"i","s":"t","ts":14.84375,"pid":1,"tid":100,"args":{"atom":"Transform"}},
+{"name":"rotate Transform","cat":"rotation","ph":"X","ts":18.75,"dur":7.8125,"pid":1,"tid":101,"args":{"atom":"Transform","container":1,"cycles":500}},
+{"name":"rotate Transform → AC 1","cat":"rotation","ph":"X","ts":18.75,"dur":7.8125,"pid":1,"tid":50,"args":{"atom":"Transform","container":1,"cycles":500}},
+{"name":"fail Transform","cat":"fault","ph":"i","s":"t","ts":26.5625,"pid":1,"tid":101,"args":{"atom":"Transform","container":1}},
+{"name":"quarantine AC 1","cat":"fault","ph":"i","s":"t","ts":26.5625,"pid":1,"tid":101,"args":{"container":1}},
+{"name":"release SATD","cat":"forecast","ph":"i","s":"t","ts":28.125,"pid":1,"tid":2,"args":{"si":"SATD"}},
+{"name":"switch → A","cat":"sched","ph":"i","s":"t","ts":31.25,"pid":1,"tid":0,"args":{"task":"A"}},
+{"name":"port busy","cat":"counter","ph":"C","ts":0.015625,"pid":1,"args":{"busy":1}},
+{"name":"port busy","cat":"counter","ph":"C","ts":7.828125,"pid":1,"args":{"busy":0}},
+{"name":"port busy","cat":"counter","ph":"C","ts":18.75,"pid":1,"args":{"busy":1}},
+{"name":"port busy","cat":"counter","ph":"C","ts":26.5625,"pid":1,"args":{"busy":0}},
 {"name":"port queue","cat":"counter","ph":"C","ts":0,"pid":1,"args":{"queued":1}},
-{"name":"port queue","cat":"counter","ph":"C","ts":0.1,"pid":1,"args":{"queued":0}},
-{"name":"cycle buckets","cat":"counter","ph":"C","ts":0,"pid":1,"args":{"sw_exec":0,"hw_exec":0,"plain_compute":0,"rotation_stall":0,"idle":0}}
+{"name":"port queue","cat":"counter","ph":"C","ts":0.015625,"pid":1,"args":{"queued":0}},
+{"name":"port queue","cat":"counter","ph":"C","ts":14.0625,"pid":1,"args":{"queued":1}},
+{"name":"port queue","cat":"counter","ph":"C","ts":14.84375,"pid":1,"args":{"queued":0}},
+{"name":"port queue","cat":"counter","ph":"C","ts":17.1875,"pid":1,"args":{"queued":1}},
+{"name":"port queue","cat":"counter","ph":"C","ts":18.75,"pid":1,"args":{"queued":0}},
+{"name":"cycle buckets","cat":"counter","ph":"C","ts":0,"pid":1,"args":{"sw_exec":0,"hw_exec":0,"plain_compute":0,"rotation_stall":0,"idle":0}},
+{"name":"cycle buckets","cat":"counter","ph":"C","ts":12.5,"pid":1,"args":{"sw_exec":0,"hw_exec":24,"plain_compute":232,"rotation_stall":544,"idle":0}},
+{"name":"cycle buckets","cat":"counter","ph":"C","ts":31.25,"pid":1,"args":{"sw_exec":0,"hw_exec":24,"plain_compute":1432,"rotation_stall":544,"idle":0}}
 ]}
 )";
   EXPECT_EQ(os.str(), expected);
