@@ -27,6 +27,11 @@ struct ResultRow {
   const std::string* find(const std::string& key) const;
   /// Value of `key`; throws util::PreconditionError when the row lacks it.
   const std::string& at(const std::string& key) const;
+
+  /// The one CSV row renderer: point, seed, then the value of each further
+  /// column in `columns`, empty where the row lacks it.
+  std::vector<std::string> csv_cells(
+      const std::vector<std::string>& columns) const;
 };
 
 class ResultTable {

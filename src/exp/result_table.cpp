@@ -4,6 +4,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "rispp/obs/json.hpp"
 #include "rispp/util/csv.hpp"
 #include "rispp/util/error.hpp"
 
@@ -21,6 +22,19 @@ const std::string& ResultRow::at(const std::string& key) const {
     throw util::PreconditionError("result row " + std::to_string(point) +
                                   " has no cell '" + key + "'");
   return *v;
+}
+
+std::vector<std::string> ResultRow::csv_cells(
+    const std::vector<std::string>& columns) const {
+  std::vector<std::string> cells;
+  cells.reserve(columns.size());
+  cells.push_back(std::to_string(point));
+  cells.push_back(std::to_string(seed));
+  for (std::size_t c = 2; c < columns.size(); ++c) {
+    const auto* v = find(columns[c]);
+    cells.push_back(v ? *v : "");
+  }
+  return cells;
 }
 
 void ResultTable::add(ResultRow row) {
@@ -53,62 +67,22 @@ void ResultTable::write_csv(std::ostream& out) const {
   const auto cols = columns();
   util::CsvWriter csv(out);
   csv.row(cols);
-  for (const auto& row : rows_) {
-    std::vector<std::string> cells;
-    cells.reserve(cols.size());
-    cells.push_back(std::to_string(row.point));
-    cells.push_back(std::to_string(row.seed));
-    for (std::size_t c = 2; c < cols.size(); ++c) {
-      const auto* v = row.find(cols[c]);
-      cells.push_back(v ? *v : "");
-    }
-    csv.row(cells);
-  }
+  for (const auto& row : rows_) csv.row(row.csv_cells(cols));
 }
-
-namespace {
-
-void json_string(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          const char* hex = "0123456789abcdef";
-          out << "\\u00" << hex[(ch >> 4) & 0xF] << hex[ch & 0xF];
-        } else {
-          out << ch;
-        }
-    }
-  }
-  out << '"';
-}
-
-}  // namespace
 
 void ResultTable::write_json(std::ostream& out) const {
   const auto cols = columns();
   out << "{\n  \"columns\": [";
-  for (std::size_t c = 0; c < cols.size(); ++c) {
-    if (c) out << ", ";
-    json_string(out, cols[c]);
-  }
+  for (std::size_t c = 0; c < cols.size(); ++c)
+    out << (c ? ", \"" : "\"") << obs::json::escape(cols[c]) << '"';
   out << "],\n  \"rows\": [";
   for (std::size_t r = 0; r < rows_.size(); ++r) {
     const auto& row = rows_[r];
     out << (r ? ",\n    {" : "\n    {");
     out << "\"point\": " << row.point << ", \"seed\": " << row.seed;
-    for (const auto& [k, v] : row.cells) {
-      out << ", ";
-      json_string(out, k);
-      out << ": ";
-      json_string(out, v);
-    }
+    for (const auto& [k, v] : row.cells)
+      out << ", \"" << obs::json::escape(k) << "\": \"" << obs::json::escape(v)
+          << '"';
     out << "}";
   }
   out << (rows_.empty() ? "]\n}\n" : "\n  ]\n}\n");

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <ostream>
 
 #include "rispp/obs/json.hpp"
@@ -14,26 +13,15 @@ namespace rispp::exp {
 
 namespace {
 
-/// Fixed-format double token with trailing zeros trimmed — the same recipe
-/// as the run-report writer, so summaries are byte-stable across platforms.
-std::string fmt_double(double x) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6f", x);
-  std::string s(buf);
-  const auto dot = s.find('.');
-  if (dot != std::string::npos) {
-    auto last = s.find_last_not_of('0');
-    if (last == dot) --last;
-    s.erase(last + 1);
-  }
-  return s;
-}
+using obs::json::Value;
 
-obs::json::Value percentile_bracket(const util::LogHistogram& h, double q) {
+constexpr int kDecimals = 6;  ///< as in run reports (docs/FORMATS.md §7.3)
+
+Value percentile_bracket(const util::LogHistogram& h, double q) {
   const auto b = h.percentile(q);
-  auto v = obs::json::Value::array();
-  v.push_back(obs::json::Value::number(fmt_double(b.lower)));
-  v.push_back(obs::json::Value::number(fmt_double(b.upper)));
+  auto v = Value::array();
+  v.push_back(Value::real(b.lower, kDecimals));
+  v.push_back(Value::real(b.upper, kDecimals));
   return v;
 }
 
@@ -65,7 +53,6 @@ void StreamingAggregator::on_row(const ResultRow& row) {
 }
 
 std::string StreamingAggregator::summary_json() const {
-  using obs::json::Value;
   auto doc = Value::object();
   doc.add("schema", Value::string("rispp.sweep_summary"));
   doc.add("version", Value::number(std::uint64_t{1}));
@@ -78,9 +65,9 @@ std::string StreamingAggregator::summary_json() const {
     if (m.non_numeric)
       entry.add("non_numeric", Value::number(m.non_numeric));
     if (m.acc.count() > 0) {
-      entry.add("mean", Value::number(fmt_double(m.acc.mean())));
-      entry.add("min", Value::number(fmt_double(m.acc.min())));
-      entry.add("max", Value::number(fmt_double(m.acc.max())));
+      entry.add("mean", Value::real(m.acc.mean(), kDecimals));
+      entry.add("min", Value::real(m.acc.min(), kDecimals));
+      entry.add("max", Value::real(m.acc.max(), kDecimals));
     }
     if (m.sketch.total() > 0) {
       entry.add("p50", percentile_bracket(m.sketch, 0.50));
@@ -109,15 +96,7 @@ void CsvSpillSink::on_row(const ResultRow& row) {
             ") after the header was emitted; use the JSONL manifest sink "
             "for ragged sweeps");
   }
-  std::vector<std::string> cells;
-  cells.reserve(columns_.size());
-  cells.push_back(std::to_string(row.point));
-  cells.push_back(std::to_string(row.seed));
-  for (std::size_t c = 2; c < columns_.size(); ++c) {
-    const auto* v = row.find(columns_[c]);
-    cells.push_back(v ? *v : "");
-  }
-  csv.row(cells);
+  csv.row(row.csv_cells(columns_));
   out_.flush();  // every flushed row survives a kill
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <utility>
 
@@ -266,7 +267,18 @@ sim::SimConfig sim_config_for(const SweepPoint& point) {
 }
 
 void validate_sim_sweep(const Sweep& sweep) {
-  sweep.visit([](const SweepPoint& point) { (void)sim_config_for(point); });
+  // A missing report_dir would otherwise fail only after point 0 ran; a
+  // grid's points share the value, so each distinct one is stat'ed once.
+  std::vector<std::string> dirs;
+  sweep.visit([&](const SweepPoint& point) {
+    (void)sim_config_for(point);
+    const auto* dir = point.find("report_dir");
+    if (!dir || std::ranges::find(dirs, *dir) != dirs.end()) return;
+    std::error_code ec;
+    RISPP_REQUIRE(std::filesystem::is_directory(*dir, ec),
+                  "report_dir '" + *dir + "' is not an existing directory");
+    dirs.push_back(*dir);
+  });
 }
 
 PointMetrics run_sim_point(const Platform& platform,

@@ -1,14 +1,14 @@
 #include "rispp/obs/chrome_trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <ostream>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "rispp/obs/json.hpp"
 #include "rispp/obs/profiler.hpp"
 
 namespace rispp::obs {
@@ -21,90 +21,100 @@ constexpr std::int64_t kPortTid = 50;
 constexpr std::int64_t kTaskTidBase = 1;
 constexpr std::int64_t kContainerTidBase = 100;
 
-std::string esc(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Microsecond value with trailing zeros trimmed (deterministic, compact).
-std::string us(std::uint64_t cycles, double clock_mhz) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6f",
-                static_cast<double>(cycles) / clock_mhz);
-  std::string s(buf);
-  s.erase(s.find_last_not_of('0') + 1);
-  if (!s.empty() && s.back() == '.') s.pop_back();
-  return s;
-}
-
-class Writer {
+/// The framing both exporters share: `{"displayTimeUnit":"ms",
+/// "traceEvents":[`, one compact JSON object per event and line, `]}`.
+/// Every event ends with its "args" object: begin() opens an event and
+/// args() its "args"; the next begin(), or close(), closes both and writes
+/// the event's line.
+class TraceEvents {
  public:
-  explicit Writer(std::ostream& out) : out_(&out) {}
-
-  void open() { *out_ << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":["; }
-  void close() { *out_ << "\n]}\n"; }
-
-  void raw(const std::string& json_object) {
-    *out_ << (first_ ? "\n" : ",\n") << json_object;
-    first_ = false;
+  TraceEvents(std::ostream& out, int pid) : out_(&out), pid_(pid) {
+    *out_ << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  }
+  void close() {
+    finish();
+    *out_ << "\n]}\n";
   }
 
-  void meta(const char* name, std::int64_t tid, const std::string& value) {
-    raw("{\"name\":\"" + std::string(name) + "\",\"ph\":\"M\",\"pid\":" +
-        std::to_string(kPid) + ",\"tid\":" + std::to_string(tid) +
-        ",\"args\":{\"name\":\"" + esc(value) + "\"}}");
+  json::Writer& begin() {
+    finish();
+    w_.begin_object();
+    open_ = true;
+    return w_;
+  }
+  json::Writer& args() {
+    w_.key("args").begin_object();
+    return w_;
   }
 
-  void sort_index(std::int64_t tid, std::int64_t index) {
-    raw("{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":" +
-        std::to_string(kPid) + ",\"tid\":" + std::to_string(tid) +
-        ",\"args\":{\"sort_index\":" + std::to_string(index) + "}}");
-  }
-
-  void complete(const std::string& name, const char* cat, std::int64_t tid,
-                const std::string& ts, const std::string& dur,
-                const std::string& args) {
-    raw("{\"name\":\"" + esc(name) + "\",\"cat\":\"" + cat +
-        "\",\"ph\":\"X\",\"ts\":" + ts + ",\"dur\":" + dur +
-        ",\"pid\":" + std::to_string(kPid) + ",\"tid\":" +
-        std::to_string(tid) + ",\"args\":{" + args + "}}");
-  }
-
-  void instant(const std::string& name, const char* cat, std::int64_t tid,
-               const std::string& ts, const std::string& args) {
-    raw("{\"name\":\"" + esc(name) + "\",\"cat\":\"" + cat +
-        "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" + ts +
-        ",\"pid\":" + std::to_string(kPid) + ",\"tid\":" +
-        std::to_string(tid) + ",\"args\":{" + args + "}}");
-  }
-
-  void counter(const std::string& name, const std::string& ts,
-               const std::string& args) {
-    raw("{\"name\":\"" + esc(name) + "\",\"cat\":\"counter\",\"ph\":\"C\"" +
-        ",\"ts\":" + ts + ",\"pid\":" + std::to_string(kPid) + ",\"args\":{" +
-        args + "}}");
+  /// A metadata ("ph":"M") event such as "thread_name"; returns the writer
+  /// inside its "args".
+  json::Writer& metadata(const char* what, std::int64_t tid) {
+    auto& w = begin();
+    w.key("name").str(what);
+    w.key("ph").str("M");
+    w.key("pid").integer(pid_);
+    w.key("tid").integer(tid);
+    return args();
   }
 
  private:
+  void finish() {
+    if (!open_) return;
+    w_.end_object();
+    w_.end_object();
+    *out_ << separator_ << w_.take();
+    separator_ = ",\n";
+    open_ = false;
+  }
+
   std::ostream* out_;
-  bool first_ = true;
+  int pid_;
+  json::Writer w_{json::Writer::Layout::Compact};
+  bool open_ = false;  ///< an event is being written
+  const char* separator_ = "\n";
+};
+
+/// The simulated-cycle trace (pid 1), cycles shown as microseconds with six
+/// decimals (docs/FORMATS.md §5).
+class CycleTrace : public TraceEvents {
+ public:
+  CycleTrace(std::ostream& out, double clock_mhz)
+      : TraceEvents(out, kPid), mhz_(clock_mhz) {}
+
+  /// Names thread track `tid` and sorts it by its tid.
+  void track(std::int64_t tid, std::string_view name) {
+    metadata("thread_name", tid).key("name").str(name);
+    metadata("thread_sort_index", tid).key("sort_index").integer(tid);
+  }
+
+  /// Opens an event of phase `ph` at cycle `at` and returns the writer
+  /// inside its "args": a span ("X") lasts `cycles`, an instant ("i") is
+  /// thread-scoped, and a counter ("C") belongs to the process, not to
+  /// track `tid`.
+  json::Writer& event(std::string_view name, const char* cat,
+                      std::string_view ph, std::uint64_t at,
+                      std::int64_t tid = 0, std::uint64_t cycles = 0) {
+    auto& w = begin();
+    w.key("name").str(name);
+    w.key("cat").str(cat);
+    w.key("ph").str(ph);
+    if (ph == "i") w.key("s").str("t");
+    w.key("ts").real(us(at), kDecimals);
+    if (ph == "X") w.key("dur").real(us(cycles), kDecimals);
+    w.key("pid").integer(kPid);
+    if (ph != "C") w.key("tid").integer(tid);
+    return args();
+  }
+
+ private:
+  static constexpr int kDecimals = 6;
+
+  double us(std::uint64_t cycles) const {
+    return static_cast<double>(cycles) / mhz_;
+  }
+
+  double mhz_;
 };
 
 }  // namespace
@@ -133,89 +143,84 @@ void write_chrome_trace(std::ostream& out, const std::vector<Event>& events,
     if (e.kind == EventKind::RotationCancelled)
       cancelled.emplace(std::pair{e.container, e.prev_cycles}, e.at);
 
-  Writer w(out);
-  w.open();
-  w.meta("process_name", kSchedulerTid, "rispp");
-  if (any_switch) {
-    w.meta("thread_name", kSchedulerTid, "scheduler");
-    w.sort_index(kSchedulerTid, kSchedulerTid);
-  }
-  for (std::int64_t t = 0; t < tasks; ++t) {
-    w.meta("thread_name", kTaskTidBase + t,
-           "task " + meta.task_name(static_cast<std::int32_t>(t)));
-    w.sort_index(kTaskTidBase + t, kTaskTidBase + t);
-  }
-  if (any_rotation) {
-    w.meta("thread_name", kPortTid, "SelectMap port");
-    w.sort_index(kPortTid, kPortTid);
-  }
-  for (std::int64_t c = 0; c < containers; ++c) {
-    w.meta("thread_name", kContainerTidBase + c, "AC " + std::to_string(c));
-    w.sort_index(kContainerTidBase + c, kContainerTidBase + c);
-  }
+  CycleTrace w(out, mhz);
+  w.metadata("process_name", kSchedulerTid).key("name").str("rispp");
+  if (any_switch) w.track(kSchedulerTid, "scheduler");
+  for (std::int64_t t = 0; t < tasks; ++t)
+    w.track(kTaskTidBase + t,
+            "task " + meta.task_name(static_cast<std::int32_t>(t)));
+  if (any_rotation) w.track(kPortTid, "SelectMap port");
+  for (std::int64_t c = 0; c < containers; ++c)
+    w.track(kContainerTidBase + c, "AC " + std::to_string(c));
 
   for (const auto& e : events) {
-    const auto ts = us(e.at, mhz);
     const auto task_tid = kTaskTidBase + std::max<std::int64_t>(e.task, 0);
     const auto ac_tid = kContainerTidBase + std::max<std::int64_t>(e.container, 0);
+    const auto molecule = e.hardware ? "hw" : "sw";
     switch (e.kind) {
-      case EventKind::SiExecuted:
-        w.complete(meta.si_name(e.si), "si", task_tid, ts, us(e.cycles, mhz),
-                   "\"cycles\":" + std::to_string(e.cycles) +
-                       ",\"molecule\":\"" + (e.hardware ? "hw" : "sw") + "\"");
+      case EventKind::SiExecuted: {
+        auto& a =
+            w.event(meta.si_name(e.si), "si", "X", e.at, task_tid, e.cycles);
+        a.key("cycles").integer(e.cycles);
+        a.key("molecule").str(molecule);
         break;
+      }
       case EventKind::ForecastSeen:
-        w.instant("forecast " + meta.si_name(e.si), "forecast", task_tid, ts,
-                  "\"si\":\"" + esc(meta.si_name(e.si)) + "\"");
+        w.event("forecast " + meta.si_name(e.si), "forecast", "i", e.at,
+                task_tid).key("si").str(meta.si_name(e.si));
         break;
       case EventKind::ForecastReleased:
-        w.instant("release " + meta.si_name(e.si), "forecast", task_tid, ts,
-                  "\"si\":\"" + esc(meta.si_name(e.si)) + "\"");
+        w.event("release " + meta.si_name(e.si), "forecast", "i", e.at,
+                task_tid).key("si").str(meta.si_name(e.si));
         break;
       case EventKind::RotationStarted: {
         if (cancelled.count({e.container, e.at})) break;
-        const auto args = "\"atom\":\"" + esc(meta.atom_name(e.atom)) +
-                          "\",\"container\":" + std::to_string(e.container) +
-                          ",\"cycles\":" + std::to_string(e.cycles);
-        w.complete("rotate " + meta.atom_name(e.atom), "rotation", ac_tid, ts,
-                   us(e.cycles, mhz), args);
-        w.complete("rotate " + meta.atom_name(e.atom) + " → AC " +
-                       std::to_string(e.container),
-                   "rotation", kPortTid, ts, us(e.cycles, mhz), args);
+        const auto atom = meta.atom_name(e.atom);
+        const auto rotation = [&](std::string_view name, std::int64_t tid) {
+          auto& a = w.event(name, "rotation", "X", e.at, tid, e.cycles);
+          a.key("atom").str(atom);
+          a.key("container").integer(e.container);
+          a.key("cycles").integer(e.cycles);
+        };
+        rotation("rotate " + atom, ac_tid);
+        rotation("rotate " + atom + " → AC " + std::to_string(e.container),
+                 kPortTid);
         break;
       }
       case EventKind::RotationFinished:
         break;  // the span is drawn from RotationStarted
       case EventKind::RotationCancelled:
-        w.instant("cancel " + meta.atom_name(e.atom), "rotation", ac_tid, ts,
-                  "\"atom\":\"" + esc(meta.atom_name(e.atom)) + "\"");
+        w.event("cancel " + meta.atom_name(e.atom), "rotation", "i", e.at,
+                ac_tid).key("atom").str(meta.atom_name(e.atom));
         break;
-      case EventKind::RotationFailed:
+      case EventKind::RotationFailed: {
         // The faulty transfer's span was drawn from RotationStarted; this
         // marks its end as a failure (the Atom never became usable).
-        w.instant("fail " + meta.atom_name(e.atom), "fault", ac_tid, ts,
-                  "\"atom\":\"" + esc(meta.atom_name(e.atom)) +
-                      "\",\"container\":" + std::to_string(e.container));
+        auto& a = w.event("fail " + meta.atom_name(e.atom), "fault", "i",
+                          e.at, ac_tid);
+        a.key("atom").str(meta.atom_name(e.atom));
+        a.key("container").integer(e.container);
         break;
+      }
       case EventKind::AcQuarantined:
-        w.instant("quarantine AC " + std::to_string(e.container), "fault",
-                  ac_tid, ts,
-                  "\"container\":" + std::to_string(e.container));
+        w.event("quarantine AC " + std::to_string(e.container), "fault", "i",
+                e.at, ac_tid).key("container").integer(e.container);
         break;
-      case EventKind::MoleculeUpgraded:
-        w.instant("upgrade " + meta.si_name(e.si), "upgrade", task_tid, ts,
-                  "\"from_cycles\":" + std::to_string(e.prev_cycles) +
-                      ",\"to_cycles\":" + std::to_string(e.cycles) +
-                      ",\"molecule\":\"" + (e.hardware ? "hw" : "sw") + "\"");
+      case EventKind::MoleculeUpgraded: {
+        auto& a = w.event("upgrade " + meta.si_name(e.si), "upgrade", "i",
+                          e.at, task_tid);
+        a.key("from_cycles").integer(e.prev_cycles);
+        a.key("to_cycles").integer(e.cycles);
+        a.key("molecule").str(molecule);
         break;
+      }
       case EventKind::TaskSwitch:
-        w.instant("switch → " + meta.task_name(e.task), "sched",
-                  kSchedulerTid, ts,
-                  "\"task\":\"" + esc(meta.task_name(e.task)) + "\"");
+        w.event("switch → " + meta.task_name(e.task), "sched", "i", e.at,
+                kSchedulerTid).key("task").str(meta.task_name(e.task));
         break;
       case EventKind::AtomEvicted:
-        w.instant("evict " + meta.atom_name(e.atom), "rotation", ac_tid, ts,
-                  "\"atom\":\"" + esc(meta.atom_name(e.atom)) + "\"");
+        w.event("evict " + meta.atom_name(e.atom), "rotation", "i", e.at,
+                ac_tid).key("atom").str(meta.atom_name(e.atom));
         break;
     }
   }
@@ -241,14 +246,12 @@ void write_chrome_trace(std::ostream& out, const std::vector<Event>& events,
     int level = 0;
     for (const auto& [at, delta] : busy) {
       level += delta;
-      w.counter("port busy", us(at, mhz),
-                "\"busy\":" + std::to_string(level));
+      w.event("port busy", "counter", "C", at).key("busy").integer(level);
     }
     level = 0;
     for (const auto& [at, delta] : queue) {
       level += delta;
-      w.counter("port queue", us(at, mhz),
-                "\"queued\":" + std::to_string(level));
+      w.event("port queue", "counter", "C", at).key("queued").integer(level);
     }
   }
   // Running cycle-attribution totals, sampled at task-switch boundaries.
@@ -258,14 +261,12 @@ void write_chrome_trace(std::ostream& out, const std::vector<Event>& events,
       profiler.on_event(e);
       if (e.kind != EventKind::TaskSwitch) continue;
       const auto b = profiler.running_totals();
-      w.counter("cycle buckets", us(e.at, mhz),
-                "\"sw_exec\":" + std::to_string(b.sw_exec) +
-                    ",\"hw_exec\":" + std::to_string(b.hw_exec) +
-                    ",\"plain_compute\":" +
-                    std::to_string(b.plain_compute) +
-                    ",\"rotation_stall\":" +
-                    std::to_string(b.rotation_stall) +
-                    ",\"idle\":" + std::to_string(b.idle));
+      auto& a = w.event("cycle buckets", "counter", "C", e.at);
+      a.key("sw_exec").integer(b.sw_exec);
+      a.key("hw_exec").integer(b.hw_exec);
+      a.key("plain_compute").integer(b.plain_compute);
+      a.key("rotation_stall").integer(b.rotation_stall);
+      a.key("idle").integer(b.idle);
     }
   }
   w.close();
@@ -275,42 +276,28 @@ void write_host_chrome_trace(std::ostream& out,
                              const std::vector<TelemetrySpan>& spans) {
   // Separate process (pid 2, "rispp host"): wall-clock spans next to the
   // pid-1 simulated-cycle tracks. One tid per telemetry thread ordinal.
+  // Nanoseconds are shown as microseconds with three decimals.
   constexpr int kHostPid = 2;
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  const auto raw = [&](const std::string& obj) {
-    out << (first ? "\n" : ",\n") << obj;
-    first = false;
-  };
-  raw("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
-      std::to_string(kHostPid) +
-      ",\"tid\":0,\"args\":{\"name\":\"rispp host\"}}");
+  TraceEvents trace(out, kHostPid);
+  trace.metadata("process_name", 0).key("name").str("rispp host");
   std::uint32_t max_thread = 0;
   for (const auto& s : spans) max_thread = std::max(max_thread, s.thread);
   for (std::uint32_t t = 0; t <= max_thread; ++t)
-    raw("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" +
-        std::to_string(kHostPid) + ",\"tid\":" + std::to_string(t) +
-        ",\"args\":{\"name\":\"" +
-        (t == 0 ? std::string("host") : "worker " + std::to_string(t)) +
-        "\"}}");
-  const auto ns_to_us = [](std::uint64_t ns) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.3f", static_cast<double>(ns) / 1e3);
-    std::string s(buf);
-    s.erase(s.find_last_not_of('0') + 1);
-    if (!s.empty() && s.back() == '.') s.pop_back();
-    return s;
-  };
+    trace.metadata("thread_name", t).key("name").str(
+        t == 0 ? "host" : "worker " + std::to_string(t));
   for (const auto& s : spans) {
     std::string name = s.name;
     if (!s.detail.empty()) name += " " + s.detail;
-    raw("{\"name\":\"" + esc(name) + "\",\"ph\":\"X\",\"pid\":" +
-        std::to_string(kHostPid) + ",\"tid\":" + std::to_string(s.thread) +
-        ",\"ts\":" + ns_to_us(s.start_ns) +
-        ",\"dur\":" + ns_to_us(s.end_ns - s.start_ns) +
-        ",\"args\":{\"depth\":" + std::to_string(s.depth) + "}}");
+    auto& w = trace.begin();
+    w.key("name").str(name);
+    w.key("ph").str("X");
+    w.key("pid").integer(kHostPid);
+    w.key("tid").integer(s.thread);
+    w.key("ts").real(static_cast<double>(s.start_ns) / 1e3, 3);
+    w.key("dur").real(static_cast<double>(s.end_ns - s.start_ns) / 1e3, 3);
+    trace.args().key("depth").integer(s.depth);
   }
-  out << "\n]}\n";
+  trace.close();
 }
 
 }  // namespace rispp::obs

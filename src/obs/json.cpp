@@ -1,5 +1,6 @@
 #include "rispp/obs/json.hpp"
 
+#include <cmath>
 #include <cstdio>
 
 #include "rispp/util/error.hpp"
@@ -26,6 +27,12 @@ Value Value::number(std::string token) {
 
 Value Value::number(std::uint64_t n) { return number(std::to_string(n)); }
 Value Value::number(std::int64_t n) { return number(std::to_string(n)); }
+
+Value Value::real(double x, int decimals) {
+  std::string token;
+  append_real(token, x, decimals);
+  return number(std::move(token));
+}
 
 Value Value::string(std::string s) {
   Value v;
@@ -118,7 +125,7 @@ const Value& Value::at(const std::string& key) const {
   return *v;
 }
 
-std::string escape(const std::string& s) {
+std::string escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (const char c : s) {
@@ -138,6 +145,33 @@ std::string escape(const std::string& s) {
     }
   }
   return out;
+}
+
+void append_real(std::string& out, double x, int decimals) {
+  RISPP_REQUIRE(std::isfinite(x), "JSON cannot hold a non-finite number");
+  char buf[352];  // the longest finite double in fixed notation fits
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, x,
+                                       std::chars_format::fixed, decimals);
+  RISPP_ENSURE(ec == std::errc{}, "fixed-format double overflowed");
+  std::string_view token(buf, static_cast<std::size_t>(end - buf));
+  if (token.find('.') != std::string_view::npos) {
+    token = token.substr(0, token.find_last_not_of('0') + 1);
+    if (token.back() == '.') token.remove_suffix(1);
+  }
+  out += token;
+}
+
+std::string Writer::take() {
+  if (pretty_) out_ += '\n';
+  depth_ = 0;
+  empty_ = true;
+  return std::exchange(out_, {});
+}
+
+void Writer::str(std::string_view s) {
+  out_ += '"';
+  out_ += escape(s);
+  out_ += '"';
 }
 
 void Value::dump_to(std::string& out, int indent, int depth) const {
@@ -312,18 +346,13 @@ class Parser {
         case 'f': out += '\f'; break;
         case 'u': {
           unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = take();
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad \\u escape");
-          }
-          // The report writer only escapes control characters; decode the
-          // ASCII range and reject anything that needs real UTF-16 handling.
+          const char* hex = text_->data() + pos_;
+          require(text_->size() - pos_ >= 4 &&
+                      std::from_chars(hex, hex + 4, code, 16).ptr == hex + 4,
+                  "bad \\u escape");
+          pos_ += 4;
+          // The writers only escape control characters; decode the ASCII
+          // range and reject anything that needs real UTF-16 handling.
           require(code < 0x80, "non-ASCII \\u escape unsupported");
           out += static_cast<char>(code);
           break;
@@ -333,32 +362,30 @@ class Parser {
     }
   }
 
+  bool at(char c) const {
+    return pos_ < text_->size() && (*text_)[pos_] == c;
+  }
+  bool at_digit() const {
+    return pos_ < text_->size() && (*text_)[pos_] >= '0' &&
+           (*text_)[pos_] <= '9';
+  }
+  void digits(const char* what) {
+    require(at_digit(), what);
+    while (at_digit()) ++pos_;
+  }
+
   Value number_token() {
     const auto start = pos_;
-    if (peek() == '-') take();
-    require(peek() >= '0' && peek() <= '9', "expected digit");
-    while (pos_ < text_->size() && (*text_)[pos_] >= '0' &&
-           (*text_)[pos_] <= '9')
+    if (at('-')) ++pos_;
+    digits("expected digit");
+    if (at('.')) {
       ++pos_;
-    if (pos_ < text_->size() && (*text_)[pos_] == '.') {
-      ++pos_;
-      require(pos_ < text_->size() && peek() >= '0' && peek() <= '9',
-              "expected digit after decimal point");
-      while (pos_ < text_->size() && (*text_)[pos_] >= '0' &&
-             (*text_)[pos_] <= '9')
-        ++pos_;
+      digits("expected digit after decimal point");
     }
-    if (pos_ < text_->size() &&
-        ((*text_)[pos_] == 'e' || (*text_)[pos_] == 'E')) {
+    if (at('e') || at('E')) {
       ++pos_;
-      if (pos_ < text_->size() &&
-          ((*text_)[pos_] == '+' || (*text_)[pos_] == '-'))
-        ++pos_;
-      require(pos_ < text_->size() && peek() >= '0' && peek() <= '9',
-              "expected digit in exponent");
-      while (pos_ < text_->size() && (*text_)[pos_] >= '0' &&
-             (*text_)[pos_] <= '9')
-        ++pos_;
+      if (at('+') || at('-')) ++pos_;
+      digits("expected digit in exponent");
     }
     return Value::number(text_->substr(start, pos_ - start));
   }

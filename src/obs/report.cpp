@@ -1,6 +1,5 @@
 #include "rispp/obs/report.hpp"
 
-#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -12,94 +11,16 @@ namespace rispp::obs {
 
 namespace {
 
-/// Appends JSON straight into a string in json::Value::dump(2)'s layout:
-/// every member or element on its own line, two spaces per depth, a
-/// non-empty container's closing bracket on its own line, an empty one
-/// kept as `[]` / `{}`. Keys are the report's own ASCII identifiers and
-/// are written as they are.
-class Writer {
- public:
-  std::string take() {
-    out_ += '\n';
-    return std::move(out_);
-  }
+using json::Writer;
 
-  /// Starts a member of the open object; its value follows.
-  Writer& key(std::string_view k) {
-    next();
-    out_ += '"';
-    out_ += k;
-    out_ += "\": ";
-    return *this;
-  }
-  /// Starts an element of the open array; its value follows.
-  Writer& item() {
-    next();
-    return *this;
-  }
-
-  void begin_object() { open('{'); }
-  void end_object() { close('}'); }
-  void begin_array() { open('['); }
-  void end_array() { close(']'); }
-
-  template <class Int>
-  void integer(Int x) {
-    char buf[24];
-    const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, x);
-    out_.append(buf, end);
-  }
-  /// Fixed six-decimal token with trailing zeros (and a bare '.') trimmed,
-  /// so serialization is deterministic and locale-free.
-  void real(double x) {
-    RISPP_REQUIRE(std::isfinite(x), "run report holds a non-finite number");
-    char buf[352];  // the longest finite double in fixed notation fits
-    const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, x,
-                                         std::chars_format::fixed, 6);
-    RISPP_ENSURE(ec == std::errc{}, "fixed-format double overflowed");
-    std::string_view token(buf, static_cast<std::size_t>(end - buf));
-    token = token.substr(0, token.find_last_not_of('0') + 1);
-    if (token.back() == '.') token.remove_suffix(1);
-    out_ += token;
-  }
-  void str(const std::string& s) {
-    out_ += '"';
-    out_ += json::escape(s);
-    out_ += '"';
-  }
-
- private:
-  void next() {
-    if (!empty_) out_ += ',';
-    empty_ = false;
-    newline();
-  }
-  void newline() {
-    out_ += '\n';
-    out_.append(2 * depth_, ' ');
-  }
-  void open(char bracket) {
-    out_ += bracket;
-    ++depth_;
-    empty_ = true;
-  }
-  void close(char bracket) {
-    --depth_;
-    if (!empty_) newline();
-    out_ += bracket;
-    empty_ = false;  // the closed container is its parent's element
-  }
-
-  std::string out_;
-  std::size_t depth_ = 0;
-  bool empty_ = true;  ///< the innermost open container has no element yet
-};
+/// Reals in a run report carry six decimals (docs/FORMATS.md §5).
+constexpr int kDecimals = 6;
 
 void write_bound(Writer& w, std::string_view key,
                  const util::PercentileBound& b) {
   w.key(key).begin_array();
-  w.item().real(b.lower);
-  w.item().real(b.upper);
+  w.item().real(b.lower, kDecimals);
+  w.item().real(b.upper, kDecimals);
   w.end_array();
 }
 
@@ -109,7 +30,7 @@ void write_digest(Writer& w, std::string_view key, const LatencyDigest& d) {
   if (d.count > 0) {
     w.key("min").integer(d.min);
     w.key("max").integer(d.max);
-    w.key("mean").real(d.mean);
+    w.key("mean").real(d.mean, kDecimals);
     write_bound(w, "p50", d.p50);
     write_bound(w, "p90", d.p90);
     write_bound(w, "p99", d.p99);
@@ -230,7 +151,7 @@ RunReport report_from_json(const json::Value& v) {
 }
 
 std::string write_report(const RunReport& r) {
-  Writer w;
+  Writer w(Writer::Layout::Pretty);
   w.begin_object();
   w.key("schema").str("rispp.run_report");
   w.key("version").integer(r.version);
@@ -285,7 +206,7 @@ std::string write_report(const RunReport& r) {
 
   w.key("port").begin_object();
   w.key("busy_cycles").integer(r.port.busy_cycles);
-  w.key("utilization").real(r.port.utilization);
+  w.key("utilization").real(r.port.utilization, kDecimals);
   write_digest(w, "queueing", r.port.queueing);
   write_digest(w, "transfer", r.port.transfer);
   w.end_object();

@@ -24,12 +24,12 @@ struct TlsBinding {
 };
 thread_local TlsBinding tls_binding;
 
-/// %.3f number token for the deterministic JSON writer (std::to_string's
-/// six noise decimals would bloat every heartbeat line).
-json::Value ms_number(double ms) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.3f", ms);
-  return json::Value::number(std::string(buf));
+/// Wall-clock milliseconds, rates and utilizations carry three decimals:
+/// std::to_string's six would add only noise digits to every heartbeat.
+constexpr int kDecimals = 3;
+
+json::Value millis(std::uint64_t ns) {
+  return json::Value::real(static_cast<double>(ns) / 1e6, kDecimals);
 }
 
 /// Current resident set in KiB (VmRSS), or 0 where /proc is unavailable.
@@ -191,9 +191,9 @@ std::string Telemetry::heartbeat_json(std::size_t done) const {
   rec.add("done", json::Value::number(static_cast<std::uint64_t>(done)));
   rec.add("total",
           json::Value::number(static_cast<std::uint64_t>(points_total_)));
-  rec.add("elapsed_ms", ms_number(elapsed_ms));
-  rec.add("rate_pps", ms_number(rate));
-  rec.add("eta_ms", ms_number(eta_ms));
+  rec.add("elapsed_ms", json::Value::real(elapsed_ms, kDecimals));
+  rec.add("rate_pps", json::Value::real(rate, kDecimals));
+  rec.add("eta_ms", json::Value::real(eta_ms, kDecimals));
   rec.add("rss_kib", json::Value::number(read_rss_kib()));
   {
     // Always present, possibly empty — consumers key off the array, not its
@@ -205,14 +205,15 @@ std::string Telemetry::heartbeat_json(std::size_t done) const {
       auto wj = json::Value::object();
       wj.add("id", json::Value::number(static_cast<std::uint64_t>(w)));
       wj.add("points", json::Value::number(s.points));
-      wj.add("busy_ms", ms_number(static_cast<double>(s.busy_ns) / 1e6));
-      wj.add("util", ms_number(now > 0 ? static_cast<double>(s.busy_ns) /
-                                             static_cast<double>(now)
-                                       : 0.0));
+      wj.add("busy_ms", millis(s.busy_ns));
+      wj.add("util", json::Value::real(
+                         now > 0 ? static_cast<double>(s.busy_ns) /
+                                       static_cast<double>(now)
+                                 : 0.0,
+                         kDecimals));
       wj.add("gate_waits", json::Value::number(s.gate_waits));
-      wj.add("gate_wait_ms",
-             ms_number(static_cast<double>(s.gate_wait_ns) / 1e6));
-      wj.add("flush_ms", ms_number(static_cast<double>(s.flush_ns) / 1e6));
+      wj.add("gate_wait_ms", millis(s.gate_wait_ns));
+      wj.add("flush_ms", millis(s.flush_ns));
       arr.push_back(std::move(wj));
     }
   }
@@ -268,7 +269,7 @@ void Telemetry::end_run(std::size_t done, std::size_t max_reorder_buffered) {
     rec.add("done", json::Value::number(static_cast<std::uint64_t>(done)));
     rec.add("total",
             json::Value::number(static_cast<std::uint64_t>(points_total_)));
-    rec.add("elapsed_ms", ms_number(static_cast<double>(now_ns()) / 1e6));
+    rec.add("elapsed_ms", millis(now_ns()));
     rec.add("max_reorder_buffered",
             json::Value::number(
                 static_cast<std::uint64_t>(max_reorder_buffered)));
@@ -282,11 +283,10 @@ void Telemetry::end_run(std::size_t done, std::size_t max_reorder_buffered) {
         auto wj = json::Value::object();
         wj.add("id", json::Value::number(static_cast<std::uint64_t>(w)));
         wj.add("points", json::Value::number(s.points));
-        wj.add("busy_ms", ms_number(static_cast<double>(s.busy_ns) / 1e6));
+        wj.add("busy_ms", millis(s.busy_ns));
         wj.add("gate_waits", json::Value::number(s.gate_waits));
-        wj.add("gate_wait_ms",
-               ms_number(static_cast<double>(s.gate_wait_ns) / 1e6));
-        wj.add("flush_ms", ms_number(static_cast<double>(s.flush_ns) / 1e6));
+        wj.add("gate_wait_ms", millis(s.gate_wait_ns));
+        wj.add("flush_ms", millis(s.flush_ns));
         wj.add("rows_flushed", json::Value::number(s.rows_flushed));
         arr.push_back(std::move(wj));
       }

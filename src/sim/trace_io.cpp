@@ -1,5 +1,6 @@
 #include "rispp/sim/trace_io.hpp"
 
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -15,6 +16,14 @@ template <typename T>
 T parse_num(std::size_t line, const std::string& value) {
   if (const auto v = util::parse_number<T>(value)) return *v;
   throw TraceParseError(line, "invalid number: '" + value + "'");
+}
+
+/// The shortest text that reads back as exactly `x` (std::to_chars), so a
+/// written trace reproduces its reals bit for bit.
+std::string shortest(double x) {
+  char buf[32];  // the longest shortest-form double is 24 characters
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, x);
+  return std::string(buf, end);
 }
 
 std::size_t resolve_si(std::size_t line, const isa::SiLibrary& lib,
@@ -122,7 +131,8 @@ void write_tasks(std::ostream& out, const std::vector<TaskDef>& tasks,
           break;
         case TraceOp::Kind::Forecast:
           out << "  forecast " << lib.at(op.si_index).name() << " "
-              << op.expected << " " << op.probability << "\n";
+              << shortest(op.expected) << " " << shortest(op.probability)
+              << "\n";
           break;
         case TraceOp::Kind::Release:
           out << "  release " << lib.at(op.si_index).name() << "\n";

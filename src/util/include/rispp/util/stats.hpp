@@ -80,6 +80,8 @@ class LogHistogram {
   std::size_t bucket_count() const { return counts_.size(); }
   std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
   /// Integer bucket edges: samples in bucket i lie in [lower, upper).
+  /// The last bucket's upper edge, 2^64, has no integer; bucket_upper(64)
+  /// throws, and percentile() reports it as a double.
   std::uint64_t bucket_lower(std::size_t i) const;
   std::uint64_t bucket_upper(std::size_t i) const;
 

@@ -99,13 +99,14 @@ std::uint64_t LogHistogram::bucket_lower(std::size_t i) const {
 
 std::uint64_t LogHistogram::bucket_upper(std::size_t i) const {
   RISPP_REQUIRE(i < counts_.size(), "bucket index out of range");
+  RISPP_REQUIRE(i < 64, "the last bucket's upper edge, 2^64, has no uint64_t");
   return i == 0 ? 1 : std::uint64_t{1} << i;
 }
 
 PercentileBound LogHistogram::percentile(double q) const {
-  const auto i = percentile_bucket(counts_, total_, q);
-  return {static_cast<double>(bucket_lower(i)),
-          static_cast<double>(bucket_upper(i))};
+  // Exact double edges: the last bucket, [2^63, 2^64), is bounded too.
+  const auto i = static_cast<int>(percentile_bucket(counts_, total_, q));
+  return {i == 0 ? 0.0 : std::ldexp(1.0, i - 1), std::ldexp(1.0, i)};
 }
 
 }  // namespace rispp::util

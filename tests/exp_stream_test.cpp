@@ -22,6 +22,7 @@
 #include "rispp/exp/sink.hpp"
 #include "rispp/exp/standard_eval.hpp"
 #include "rispp/exp/sweep.hpp"
+#include "rispp/obs/json.hpp"
 #include "rispp/util/error.hpp"
 
 namespace {
@@ -205,6 +206,18 @@ TEST(StreamAggregator, DeterministicAcrossJobsAndKnownValues) {
   EXPECT_NE(json.find("\"schema\": \"rispp.sweep_summary\""),
             std::string::npos);
   EXPECT_NE(json.find("\"mean\": 50.5"), std::string::npos);
+}
+
+TEST(StreamAggregator, HugeValuesKeepEveryDigitInTheSummary) {
+  // A summary real is written in full however long it is: 1e70 has 71
+  // integer digits and must read back as 1e70, not lose its tail.
+  StreamingAggregator agg;
+  agg.on_row({0, 1, {{"x", "1e70"}}});
+  const auto doc = rispp::obs::json::parse(agg.summary_json());
+  const auto& x = doc.at("metrics").items().at(0);
+  ASSERT_EQ(x.at("metric").as_string(), "x");
+  for (const char* key : {"mean", "min", "max"})
+    EXPECT_EQ(x.at(key).as_double(), 1e70) << key;
 }
 
 TEST(StreamCsvSpill, MatchesTableCsvForRectangularSweeps) {

@@ -15,6 +15,7 @@
 #include "rispp/exp/standard_eval.hpp"
 #include "rispp/exp/sweep.hpp"
 #include "rispp/isa/io.hpp"
+#include "rispp/obs/json.hpp"
 #include "rispp/util/error.hpp"
 
 namespace {
@@ -137,6 +138,18 @@ TEST(ResultTableTest, JsonRendering) {
             "  ]\n}\n");
   EXPECT_EQ(ResultTable{}.json(),
             "{\n  \"columns\": [\"point\", \"seed\"],\n  \"rows\": []\n}\n");
+}
+
+TEST(ResultTableTest, JsonCellsRoundTripEveryControlCharacter) {
+  std::string cell;
+  for (char c = 0x01; c < 0x20; ++c) cell += c;
+  ResultTable table;
+  table.add({0, 9, {{"metric", cell}}});
+  const auto doc = rispp::obs::json::parse(table.json());
+  EXPECT_EQ(doc.at("rows").items().at(0).at("metric").as_string(), cell);
+  // Carriage return takes the generic \u00XX escape, as in reports and
+  // traces.
+  EXPECT_NE(table.json().find("\\u000d"), std::string::npos);
 }
 
 TEST(ResultTableTest, RaggedRowsRenderEmptyCellsInBothFormats) {
@@ -331,8 +344,29 @@ TEST(StandardEval, SweepValidationFailsFastOnTypos) {
           << e.what();
     }
   }
+  // A report_dir that is not an existing directory fails up front, naming
+  // it, instead of after the first point has run; a file is not a
+  // directory either.
+  const auto file = testing::TempDir() + "report_dir_is_a_file";
+  std::ofstream(file) << "x";
+  for (const auto& dir : {std::string("no_such_report_dir"), file}) {
+    Sweep bad_dir;
+    bad_dir.axis("workload", {"enc"})
+        .axis("containers", {"4", "6"})
+        .axis("report_dir", {dir});
+    try {
+      validate_sim_sweep(bad_dir);
+      ADD_FAILURE() << "expected PreconditionError for " << dir;
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + dir + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   Sweep good;
   good.axis("workload", {"enc"}).axis("replacement", {"lru", "mru"});
+  EXPECT_NO_THROW(validate_sim_sweep(good));
+  good.axis("report_dir", {testing::TempDir()});
   EXPECT_NO_THROW(validate_sim_sweep(good));
 }
 

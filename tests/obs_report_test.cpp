@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
 
@@ -59,7 +60,8 @@ TEST(Json, NumbersKeepTheirSourceToken) {
 TEST(Json, ParseRejectsMalformedInput) {
   for (const char* bad :
        {"", "{", "[1,]", "{\"a\" 1}", "nul", "1.", "2e", "\"\\q\"",
-        "[1] trailing", "{\"a\":1,}"}) {
+        "[1] trailing", "{\"a\":1,}", "-", "1e+", "\"\\u12\"",
+        "\"\\u00zz\"", "\"\\u-001\"", "\"\\u00e9\""}) {
     EXPECT_THROW(json::parse(bad), PreconditionError) << bad;
   }
 }
@@ -69,6 +71,107 @@ TEST(Json, StringEscapesRoundTrip) {
   EXPECT_EQ(v.as_string(), "line\n\ttab \"q\" \\ A");
   EXPECT_EQ(json::escape("a\nb\"c\\d\x01"),
             "a\\nb\\\"c\\\\d\\u0001");
+}
+
+TEST(JsonWriter, MatchesTreeDumperInBothLayouts) {
+  // The tree dumper is the writer's reference: the same document built
+  // through both must serialize to the same bytes, pretty (dump(2)) and
+  // compact (dump(-1)). The tree's reals are hand-written tokens, so this
+  // also pins the six-decimal formatter: rounding (1.2345675 lies just
+  // above the midpoint; 0.0078125 and 0.0234375 are exact ties, which
+  // round to even), trimming to an integer, negative zero, and a value too
+  // long for a small buffer.
+  using json::Value;
+  using json::Writer;
+  constexpr auto u64_max = std::numeric_limits<std::uint64_t>::max();
+  constexpr auto i64_min = std::numeric_limits<std::int64_t>::min();
+  const double reals[] = {0.0000005, 1.2345675, 123456.999999951, -0.0,
+                          1e70,      0.0078125, 0.0234375};
+  const char* real_tokens[] = {
+      "0", "1.234568", "123457", "-0",
+      "10000000000000000725314363815292351261583744096465219555182101554790400",
+      "0.007812", "0.023438"};
+  const std::string text =
+      "quote\" backslash\\ newline\n tab\t \x01\x1f \xe2\x86\x92";
+
+  auto tree = Value::object();
+  auto& ints = tree.add("ints", Value::array());
+  ints.push_back(Value::number(std::uint64_t{0}));
+  ints.push_back(Value::number(u64_max));
+  ints.push_back(Value::number(i64_min));
+  auto& real_items = tree.add("reals", Value::array());
+  for (const char* token : real_tokens)
+    real_items.push_back(Value::number(token));
+  tree.add("text", Value::string(text));
+  tree.add("none", Value::object());
+  auto& rows = tree.add("rows", Value::array());
+  auto& first = rows.push_back(Value::object());
+  first.add("cells", Value::array()).push_back(Value::array());
+  first.add("name", Value::string(""));
+  rows.push_back(Value::object())
+      .add("nested", Value::object())
+      .add("deep", Value::array())
+      .push_back(Value::number(std::int64_t{-1}));
+
+  const auto write = [&](Writer& w) {
+    w.begin_object();
+    w.key("ints").begin_array();
+    w.item().integer(std::uint64_t{0});
+    w.item().integer(u64_max);
+    w.item().integer(i64_min);
+    w.end_array();
+    w.key("reals").begin_array();
+    for (const double x : reals) w.item().real(x, 6);
+    w.end_array();
+    w.key("text").str(text);
+    w.key("none").begin_object();
+    w.end_object();
+    w.key("rows").begin_array();
+    w.item().begin_object();
+    w.key("cells").begin_array();
+    w.item().begin_array();
+    w.end_array();
+    w.end_array();
+    w.key("name").str("");
+    w.end_object();
+    w.item().begin_object();
+    w.key("nested").begin_object();
+    w.key("deep").begin_array();
+    w.item().integer(-1);
+    w.end_array();
+    w.end_object();
+    w.end_object();
+    w.end_array();
+    w.end_object();
+  };
+  const auto empty_object = [](Writer& w) {
+    w.begin_object();
+    w.end_object();
+  };
+  const auto empty_array = [](Writer& w) {
+    w.begin_array();
+    w.end_array();
+  };
+
+  const std::pair<std::function<void(Writer&)>, Value> docs[] = {
+      {empty_object, Value::object()},
+      {empty_array, Value::array()},
+      {write, std::move(tree)}};
+  for (const auto& [fill, reference] : docs) {
+    SCOPED_TRACE(reference.dump());
+    Writer pretty(Writer::Layout::Pretty);
+    Writer compact(Writer::Layout::Compact);
+    fill(pretty);
+    fill(compact);
+    EXPECT_EQ(pretty.take(), reference.dump(2));
+    EXPECT_EQ(compact.take(), reference.dump(-1));
+    // take() starts the writer over: the same calls give the same bytes.
+    fill(compact);
+    EXPECT_EQ(compact.take(), reference.dump(-1));
+  }
+  Writer w(Writer::Layout::Compact);
+  EXPECT_THROW(w.real(std::numeric_limits<double>::infinity(), 6),
+               PreconditionError);
 }
 
 /// The bench scenario (TraceSource::make_fig06, as

@@ -65,6 +65,31 @@ TEST(TraceIo, RoundTrip) {
   EXPECT_EQ(os2.str(), os.str());
 }
 
+TEST(TraceIo, ForecastRealsRoundTripBitForBit) {
+  // Reals are written in their shortest exact form: six significant digits
+  // would read 0.123456789 back as 0.123457 and 1234567 as 1234570.
+  const auto lib = SiLibrary::h264();
+  const auto satd = lib.index_of("SATD_4x4");
+  TaskDef task;
+  task.name = "A";
+  task.trace = {TraceOp::forecast(satd, 1234567.0, 0.123456789),
+                TraceOp::forecast(satd, 0.1 + 0.2, 1.0 / 3.0),
+                TraceOp::forecast(satd, 1e-7, 1.0)};
+  std::ostringstream os;
+  write_tasks(os, {task}, lib);
+  const auto back = parse_tasks(os.str(), lib);
+  ASSERT_EQ(back.size(), 1u);
+  ASSERT_EQ(back[0].trace.size(), task.trace.size());
+  for (std::size_t o = 0; o < task.trace.size(); ++o) {
+    SCOPED_TRACE(o);
+    EXPECT_EQ(back[0].trace[o].expected, task.trace[o].expected);
+    EXPECT_EQ(back[0].trace[o].probability, task.trace[o].probability);
+  }
+  EXPECT_NE(os.str().find("forecast SATD_4x4 1234567 0.123456789\n"),
+            std::string::npos)
+      << os.str();
+}
+
 TEST(TraceIo, ParsedTraceExecutesLikeBuiltTrace) {
   const auto lib = SiLibrary::h264();
   const std::string text =

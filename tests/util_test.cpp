@@ -220,6 +220,13 @@ TEST(LogHistogram, PercentileBracketsNearestRank) {
   EXPECT_EQ(h.percentile(0.5), (PercentileBound{16.0, 32.0}));
   EXPECT_EQ(h.percentile(0.99), (PercentileBound{16.0, 32.0}));
   EXPECT_EQ(h.percentile(1.0), (PercentileBound{512.0, 1024.0}));
+
+  // A sample of 2^63 or more lands in the last bucket, [2^63, 2^64).
+  LogHistogram top;
+  top.add(UINT64_MAX);
+  EXPECT_EQ(top.percentile(1.0), (PercentileBound{0x1p63, 0x1p64}));
+  EXPECT_EQ(top.bucket_lower(64), std::uint64_t{1} << 63);
+  EXPECT_THROW(top.bucket_upper(64), PreconditionError);
 }
 
 TEST(LogHistogram, PercentileRejectsBadArguments) {
