@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <utility>
 
 #include "rispp/h264/phases.hpp"
@@ -269,15 +270,14 @@ sim::SimConfig sim_config_for(const SweepPoint& point) {
 void validate_sim_sweep(const Sweep& sweep) {
   // A missing report_dir would otherwise fail only after point 0 ran; a
   // grid's points share the value, so each distinct one is stat'ed once.
-  std::vector<std::string> dirs;
+  std::set<std::string> dirs;
   sweep.visit([&](const SweepPoint& point) {
     (void)sim_config_for(point);
     const auto* dir = point.find("report_dir");
-    if (!dir || std::ranges::find(dirs, *dir) != dirs.end()) return;
     std::error_code ec;
-    RISPP_REQUIRE(std::filesystem::is_directory(*dir, ec),
-                  "report_dir '" + *dir + "' is not an existing directory");
-    dirs.push_back(*dir);
+    if (dir && dirs.insert(*dir).second)
+      RISPP_REQUIRE(std::filesystem::is_directory(*dir, ec),
+                    "report_dir '" + *dir + "' is not an existing directory");
   });
 }
 
