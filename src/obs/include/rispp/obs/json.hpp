@@ -101,8 +101,8 @@ std::string escape(std::string_view s);
 /// Appends `x` in fixed notation with `decimals` digits after the point,
 /// trailing zeros and a bare '.' trimmed ("12.5", "3", "-0"). Throws
 /// util::PreconditionError on a non-finite value. Six decimals for reports,
-/// simulated-cycle traces and sweep summaries, three for wall-clock
-/// telemetry (docs/FORMATS.md §5).
+/// simulated-cycle traces and sweep summaries, three for the wall-clock
+/// host trace and telemetry (docs/FORMATS.md §5).
 void append_real(std::string& out, double x, int decimals);
 
 /// Streams one JSON document into a string with no tree in between (run
