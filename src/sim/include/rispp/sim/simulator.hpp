@@ -22,33 +22,25 @@
 
 namespace rispp::sim {
 
-/// How the simulator drives the manager's reallocation kernel. The two bool
-/// knobs the seed grew (`rotation_wakeups` / `poll_every_switch`) allowed
-/// contradictory combinations; this enum is the whole state space.
+/// How the simulator drives the manager's reallocation kernel: it polls
+/// only at task switches where `now` crossed the manager's next wakeup (a
+/// rotation completion or a backoff expiry; docs/observability.md says why
+/// that equals polling at every switch). The seed's poll-every-switch mode
+/// lives on only as the oracle in tests/reference_host.hpp. The enum keeps
+/// its one enumerator, and Simulator reads neither it nor Scheduler, only
+/// because hostbench/replay.cpp names both in its default-kernel guard; the
+/// next change to the benchmark deletes them together with that guard.
 enum class Driving {
-  /// Re-evaluate blocked reallocations via rotation-completion wakeups: the
-  /// manager exposes its next completion cycle and the simulator polls only
-  /// at task switches where `now` crossed it, instead of on every switch
-  /// (see docs/observability.md for why this is equivalent). The default.
   Wakeups,
-  /// Poll the manager at every task switch, like the seed simulator did.
-  /// Kept for the wakeups ≡ polling regression tests (rt_kernel_test's
-  /// KernelGoldenTrace and KernelGoldenCounts).
-  PollEverySwitch,
 };
 
-/// How run() finds the next runnable task. Scheduling order and results are
-/// identical in both modes (rt_stress/sim_sched tests assert it); only the
-/// per-switch cost differs.
+/// How run() finds the next runnable task: a circular doubly-linked ring
+/// over the not-yet-finished tasks, so picking the next task is one link
+/// hop and a finished task unlinks in O(1). The seed's O(T) linear scan
+/// lives on only in tests/reference_host.hpp. One enumerator, kept for the
+/// same reason as Driving's.
 enum class Scheduler {
-  /// Circular doubly-linked ring over the not-yet-finished tasks: picking
-  /// the next task is one link hop and a finished task unlinks in O(1),
-  /// so a task switch costs O(1) regardless of task count. The default.
   RunnableRing,
-  /// The seed's O(T) behaviour: scan forward from the current slot,
-  /// skipping finished tasks, plus an any_of over all tasks per switch.
-  /// Kept for the SchedulerDifferential tests (sim_sched_test).
-  LinearScan,
 };
 
 struct SimConfig {
@@ -56,9 +48,9 @@ struct SimConfig {
   /// Round-robin quantum in cycles. Compute intervals are sliced at quantum
   /// granularity; SI invocations are atomic.
   std::uint64_t quantum = 10000;
-  /// Reallocation driving mode (see Driving).
+  /// Read by nothing in the simulator (see Driving).
   Driving driving = Driving::Wakeups;
-  /// Task-lookup strategy (see Scheduler); results are identical.
+  /// Read by nothing in the simulator (see Scheduler).
   Scheduler scheduler = Scheduler::RunnableRing;
 };
 

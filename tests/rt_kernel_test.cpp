@@ -1,7 +1,8 @@
 /// Event-driven reallocation kernel tests: the refactored plan→gate→
 /// cancel-stale→issue pipeline must reproduce the seed simulator's Fig-6
-/// event stream byte-for-byte, the kernel's entry and plan counts on a
-/// polling-heavy co-run are pinned under both drivings, every reallocation
+/// event stream byte-for-byte, the simulator must match the poll-every-switch
+/// reference host (tests/reference_host.hpp) on it and on a polling-heavy
+/// co-run whose kernel entries are pinned for both hosts, every reallocation
 /// re-plans and a poll between completions changes nothing, and
 /// Molecule-upgrade detection must not leak across tasks and takes only
 /// task ids the profiler takes.
@@ -19,6 +20,7 @@
 #include "rispp/sim/simulator.hpp"
 #include "rispp/util/error.hpp"
 #include "rispp/workload/trace_source.hpp"
+#include "reference_host.hpp"
 
 namespace {
 
@@ -34,26 +36,25 @@ std::string read_file(const std::string& path) {
   return ss.str();
 }
 
-std::string run_fig06_csv(bool poll_every_switch, const std::string& path) {
-  const auto lib = rispp::isa::SiLibrary::h264();
-  rispp::obs::TraceRecorder recorder;
+SimConfig fig06_config() {
   SimConfig cfg;
   cfg.rt.atom_containers = 6;
   cfg.quantum = 25000;
-  cfg.rt.sink = &recorder;
-  cfg.driving =
-      poll_every_switch ? Driving::PollEverySwitch : Driving::Wakeups;
-  Simulator sim(borrow(lib), cfg);
-  rispp::workload::TraceSource::make_fig06(lib)->add_to(sim);
-  (void)sim.run();
-  rispp::obs::write_trace_file(path, recorder.events(),
-                               make_trace_meta(lib, cfg, {"A", "B"}));
-  return read_file(path);
+  return cfg;
 }
 
 TEST(KernelGoldenTrace, Fig06EventStreamMatchesSeedByteForByte) {
-  const auto csv =
-      run_fig06_csv(false, ::testing::TempDir() + "rispp_fig06_wakeup.csv");
+  const auto lib = rispp::isa::SiLibrary::h264();
+  rispp::obs::TraceRecorder recorder;
+  auto cfg = fig06_config();
+  cfg.rt.sink = &recorder;
+  Simulator sim(borrow(lib), cfg);
+  rispp::workload::TraceSource::make_fig06(lib)->add_to(sim);
+  (void)sim.run();
+  const auto path = ::testing::TempDir() + "rispp_fig06_wakeup.csv";
+  rispp::obs::write_trace_file(path, recorder.events(),
+                               make_trace_meta(lib, cfg, {"A", "B"}));
+  const auto csv = read_file(path);
   const auto golden = read_file(std::string(RISPP_TEST_DATA_DIR) +
                                 "/fig06_golden.csv");
   ASSERT_FALSE(golden.empty());
@@ -62,59 +63,42 @@ TEST(KernelGoldenTrace, Fig06EventStreamMatchesSeedByteForByte) {
 }
 
 TEST(KernelGoldenTrace, WakeupDrivingEqualsEverySwitchPolling) {
-  const auto wakeup =
-      run_fig06_csv(false, ::testing::TempDir() + "rispp_fig06_w.csv");
-  const auto polled =
-      run_fig06_csv(true, ::testing::TempDir() + "rispp_fig06_p.csv");
-  EXPECT_EQ(wakeup, polled);
+  // The reference host polls at every switch, so by the test above its
+  // stream equals the golden too.
+  const auto lib = rispp::isa::SiLibrary::h264();
+  reference_host::expect_same_run(
+      borrow(lib), fig06_config(),
+      rispp::workload::TraceSource::make_fig06(lib)->tasks());
 }
 
-struct KernelCounts {
-  std::uint64_t cycles = 0;
-  std::uint64_t rotations = 0;
-  std::uint64_t reallocations = 0;  ///< kernel entries
-  std::uint64_t plans = 0;          ///< selector replan() runs
-};
-
-/// An H.264 encoder and decoder co-run on h264_frame (10 ACs, 4 frames of
-/// 99 macroblocks) with a 2000-cycle quantum: many task switches per phase,
-/// the case wakeups were built for.
-KernelCounts run_enc_dec_corun(Driving driving) {
+TEST(KernelGoldenCounts, EncDecCoRunUnderWakeupsAndPolling) {
+  // An H.264 encoder and decoder co-run on h264_frame (10 ACs, 4 frames of
+  // 99 macroblocks) with a 2000-cycle quantum: many task switches per
+  // phase, the case wakeups were built for. Every kernel entry re-plans, so
+  // plans equal entries on both hosts. Wakeups enter the kernel only at
+  // forecasts, releases and crossed rotation completions; the reference
+  // host polls at every switch and enters it ~150x as often, and the extra
+  // re-plans reach the same plans and book nothing, so the simulated run
+  // is the same.
   const auto lib = rispp::isa::SiLibrary::h264_frame();
   SimConfig cfg;
   cfg.rt.atom_containers = 10;
   cfg.quantum = 2000;
-  cfg.driving = driving;
-  Simulator sim(borrow(lib), cfg);
   rispp::h264::PhaseTraceParams p;
   p.frames = 4;
   p.macroblocks_per_frame = 99;
-  sim.add_task({"enc", rispp::h264::make_phase_trace(
-                           lib, p, rispp::h264::fig1_phases())});
-  sim.add_task({"dec", rispp::h264::make_phase_trace(
-                           lib, p, rispp::h264::decoder_phases())});
-  const auto r = sim.run();
-  return {r.total_cycles, r.rotations,
-          sim.manager().counters().get("reallocations"),
-          sim.manager().counters().get("selector_plans")};
-}
-
-TEST(KernelGoldenCounts, EncDecCoRunUnderWakeupsAndPolling) {
-  // Every kernel entry re-plans, so plans equal entries under both
-  // drivings. Wakeups enter the kernel only at forecasts, releases and
-  // crossed rotation completions; polling at every switch enters it ~150x
-  // as often, and the extra re-plans reach the same plans and book
-  // nothing, so the simulated run is the same.
-  const auto wakeup = run_enc_dec_corun(Driving::Wakeups);
-  EXPECT_EQ(wakeup.cycles, 80'979'165u);
-  EXPECT_EQ(wakeup.rotations, 132u);
-  EXPECT_EQ(wakeup.reallocations, 274u);
-  EXPECT_EQ(wakeup.plans, wakeup.reallocations);
-  const auto polled = run_enc_dec_corun(Driving::PollEverySwitch);
-  EXPECT_EQ(polled.cycles, wakeup.cycles);
-  EXPECT_EQ(polled.rotations, wakeup.rotations);
-  EXPECT_EQ(polled.reallocations, 40'629u);
-  EXPECT_EQ(polled.plans, polled.reallocations);
+  const auto run = reference_host::expect_same_run(
+      borrow(lib), cfg,
+      {{"enc", rispp::h264::make_phase_trace(lib, p,
+                                             rispp::h264::fig1_phases())},
+       {"dec", rispp::h264::make_phase_trace(
+                   lib, p, rispp::h264::decoder_phases())}});
+  EXPECT_EQ(run.result.total_cycles, 80'979'165u);
+  EXPECT_EQ(run.result.rotations, 132u);
+  EXPECT_EQ(run.sim_counters.get("reallocations"), 274u);
+  EXPECT_EQ(run.sim_counters.get("selector_plans"), 274u);
+  EXPECT_EQ(run.ref_counters.get("reallocations"), 40'629u);
+  EXPECT_EQ(run.ref_counters.get("selector_plans"), 40'629u);
 }
 
 class Replan : public ::testing::Test {

@@ -1,5 +1,6 @@
-/// Scheduler-overhaul tests: the runnable-task ring must be scheduling-
-/// equivalent to the seed's linear O(T) scan at stress scale, TaskSwitch
+/// Scheduler-overhaul tests: the runnable-task ring and the cached wakeup
+/// horizon must match the reference host's linear O(T) scan and polling at
+/// every switch (tests/reference_host.hpp) at stress scale, TaskSwitch
 /// events must only appear for quanta that consume cycles, and the batched
 /// emission path must hold up across concurrent simulators (run under TSan
 /// via the `concurrency` label).
@@ -12,6 +13,7 @@
 
 #include "rispp/obs/event.hpp"
 #include "rispp/sim/simulator.hpp"
+#include "reference_host.hpp"
 
 namespace {
 
@@ -25,9 +27,10 @@ using rispp::obs::TraceRecorder;
 /// finisher, every seventh pure bookkeeping (forecast + label only), the
 /// rest forecast→execute→release loops — a ragged done/runnable mix that
 /// exercises ring unlinking at scale.
-void add_stress_tasks(Simulator& sim, const SiLibrary& lib, int count) {
+std::vector<TaskDef> stress_tasks(const SiLibrary& lib, int count) {
   const auto satd = lib.index_of("SATD_4x4");
   const auto dct = lib.index_of("DCT_4x4");
+  std::vector<TaskDef> tasks;
   for (int t = 0; t < count; ++t) {
     Trace tr;
     if (t % 7 == 0) {
@@ -45,54 +48,35 @@ void add_stress_tasks(Simulator& sim, const SiLibrary& lib, int count) {
     }
     std::string name = "t";
     name += std::to_string(t);
-    sim.add_task({std::move(name), std::move(tr)});
+    tasks.push_back({std::move(name), std::move(tr)});
   }
+  return tasks;
 }
 
-SimResult run_stress(const SiLibrary& lib, int tasks, Scheduler scheduler,
-                     Driving driving, TraceRecorder* recorder) {
+void add_stress_tasks(Simulator& sim, const SiLibrary& lib, int count) {
+  for (auto& task : stress_tasks(lib, count)) sim.add_task(std::move(task));
+}
+
+SimConfig stress_config() {
   SimConfig cfg;
   cfg.rt.atom_containers = 6;
   cfg.quantum = 3000;
-  cfg.scheduler = scheduler;
-  cfg.driving = driving;
-  cfg.rt.sink = recorder;
-  Simulator sim(borrow(lib), cfg);
-  add_stress_tasks(sim, lib, tasks);
-  return sim.run();
+  return cfg;
 }
 
-TEST(SchedulerDifferential, RingMatchesLinearScanAt512Tasks) {
+TEST(SchedulerDifferential, RingMatchesReferenceHostAt512Tasks) {
   const auto lib = SiLibrary::h264();
-  TraceRecorder ring_rec, linear_rec;
-  const auto ring = run_stress(lib, 512, Scheduler::RunnableRing,
-                               Driving::Wakeups, &ring_rec);
-  const auto linear = run_stress(lib, 512, Scheduler::LinearScan,
-                                 Driving::Wakeups, &linear_rec);
-
-  EXPECT_EQ(ring.total_cycles, linear.total_cycles);
-  EXPECT_EQ(ring.task_cycles, linear.task_cycles);
-  EXPECT_EQ(ring.rotations, linear.rotations);
-  EXPECT_EQ(ring.energy_total_nj, linear.energy_total_nj);
-  ASSERT_EQ(ring_rec.events().size(), linear_rec.events().size());
-  EXPECT_TRUE(ring_rec.events() == linear_rec.events())
-      << "ring and linear-scan schedulers diverged in the event stream";
+  reference_host::expect_same_run(borrow(lib), stress_config(),
+                                  stress_tasks(lib, 512));
 }
 
 TEST(SchedulerDifferential, FastKernelMatchesSeedEquivalentDriving) {
   // Full fast path (ring + wakeup-horizon cache) against the full
-  // seed-equivalent path (linear scan + poll-every-switch): identical
-  // behaviour, not just identical totals.
+  // seed-equivalent path (the reference host's linear scan and
+  // poll-every-switch): identical behaviour, not just identical totals.
   const auto lib = SiLibrary::h264();
-  TraceRecorder fast_rec, seed_rec;
-  const auto fast = run_stress(lib, 96, Scheduler::RunnableRing,
-                               Driving::Wakeups, &fast_rec);
-  const auto seed = run_stress(lib, 96, Scheduler::LinearScan,
-                               Driving::PollEverySwitch, &seed_rec);
-  EXPECT_EQ(fast.total_cycles, seed.total_cycles);
-  EXPECT_EQ(fast.task_cycles, seed.task_cycles);
-  EXPECT_EQ(fast.rotations, seed.rotations);
-  EXPECT_TRUE(fast_rec.events() == seed_rec.events());
+  reference_host::expect_same_run(borrow(lib), stress_config(),
+                                  stress_tasks(lib, 96));
 }
 
 TEST(SchedulerDifferential, RerunAfterCompletionIsANoop) {
@@ -202,9 +186,7 @@ TEST(BatchedEmission, ConcurrentSimulatorsProduceIdenticalStreams) {
     threads.reserve(kThreads);
     for (int i = 0; i < kThreads; ++i)
       threads.emplace_back([&, i] {
-        SimConfig cfg;
-        cfg.rt.atom_containers = 6;
-        cfg.quantum = 3000;
+        auto cfg = stress_config();
         cfg.rt.sink = &recorders[i];
         Simulator sim(lib, cfg);
         add_stress_tasks(sim, *lib, 48);
