@@ -139,6 +139,12 @@ void RisppManager::process_failures(Cycle now) {
   // instead of a take_failures() call per invocation.
   if (!rotations_.has_pending_failures()) return;
   for (const auto& b : rotations_.take_failures(now)) {
+    // The container held the load's slices until the transfer ended, however
+    // late the host entered the kernel: integrate leakage up to `done`
+    // before they leave. Failures arrive in `done` order and every kernel
+    // entry retires all failures due by its `now`, so `done` is never
+    // earlier than the meter's last timestamp.
+    energy_.advance_leakage(b.done, loaded_slices());
     const bool quarantined = containers_.on_rotation_failed(
         b.container, b.atom_kind, b.done, cfg_.max_rotation_retries,
         cfg_.retry_backoff_cycles);

@@ -260,6 +260,39 @@ TEST(FaultRecovery, PoisonedTransferCountsSeparately) {
   EXPECT_TRUE(mgr.available_atoms(*done).is_zero());
 }
 
+TEST(FaultRecovery, FailedLoadLeaksUntilItsTransferEnds) {
+  // The failed load holds its container's slices from booking to `done`,
+  // however often the host enters the kernel in between: a manager polled
+  // half-way and at `done` and one polled only long after must both charge
+  // exactly that interval. No retry follows (the lone container is
+  // quarantined), so nothing leaks afterwards.
+  const auto lib = rispp::isa::parse_si_library(kOneAtomLibrary);
+  RtConfig cfg;
+  cfg.atom_containers = 1;
+  cfg.faults = FaultModel::schedule({{0, {TransferResult::Failed, 1.0}}});
+  cfg.max_rotation_retries = 0;
+  RisppManager often(borrow(lib), cfg);
+  RisppManager late(borrow(lib), cfg);
+  often.forecast(lib.index_of("XA"), 1000, 1.0, 0);
+  late.forecast(lib.index_of("XA"), 1000, 1.0, 0);
+  const auto done = often.next_wakeup(0);
+  ASSERT_TRUE(done.has_value());
+
+  often.poll(*done / 2);
+  often.poll(*done);
+  often.poll(*done * 10);
+  late.poll(*done * 10);
+  ASSERT_EQ(often.counters().get("acs_quarantined"), 1u);
+  ASSERT_EQ(late.counters().get("acs_quarantined"), 1u);
+
+  const double slices = lib.catalog().at(0).hardware.slices;
+  const double expected = static_cast<double>(*done) / cfg.clock_mhz *
+                          cfg.power.leak_mw_per_kslice * (slices / 1000.0);
+  EXPECT_GT(expected, 0.0);
+  EXPECT_DOUBLE_EQ(often.energy().leakage_nj(), expected);
+  EXPECT_DOUBLE_EQ(late.energy().leakage_nj(), expected);
+}
+
 TEST(FaultRecovery, RepeatedFailuresQuarantineTheContainer) {
   const auto lib = rispp::isa::parse_si_library(kOneAtomLibrary);
   TraceRecorder recorder;
