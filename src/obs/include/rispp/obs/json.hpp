@@ -142,7 +142,7 @@ class Writer {
   void integer(Int x) {
     char buf[24];
     const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, x);
-    out_.append(buf, end);
+    out_.append(buf, static_cast<std::size_t>(end - buf));
   }
   /// A real with at most `decimals` decimals (append_real).
   void real(double x, int decimals) { append_real(out_, x, decimals); }
