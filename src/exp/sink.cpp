@@ -47,8 +47,11 @@ void StreamingAggregator::on_row(const ResultRow& row) {
     const double x = *parsed;
     auto& m = metric_for(key);
     m.acc.add(x);
-    if (x >= 0.0)
-      m.sketch.add(static_cast<std::uint64_t>(std::llround(x)));
+    // The sketch holds integers in [0, 2^64); other values fold into count,
+    // mean, min and max only.
+    const double rounded = std::round(x);
+    if (x >= 0.0 && rounded < 0x1p64)
+      m.sketch.add(static_cast<std::uint64_t>(rounded));
   }
 }
 

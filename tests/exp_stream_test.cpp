@@ -210,14 +210,26 @@ TEST(StreamAggregator, DeterministicAcrossJobsAndKnownValues) {
 
 TEST(StreamAggregator, HugeValuesKeepEveryDigitInTheSummary) {
   // A summary real is written in full however long it is: 1e70 has 71
-  // integer digits and must read back as 1e70, not lose its tail.
+  // integer digits and must read back as 1e70, not lose its tail. The
+  // sketch holds integers below 2^64 only, so 1e70 has no percentile
+  // bracket, while 1.5e19 still lands in [2^63, 2^64).
   StreamingAggregator agg;
-  agg.on_row({0, 1, {{"x", "1e70"}}});
+  agg.on_row({0, 1, {{"x", "1e70"}, {"y", "1.5e19"}}});
   const auto doc = rispp::obs::json::parse(agg.summary_json());
   const auto& x = doc.at("metrics").items().at(0);
   ASSERT_EQ(x.at("metric").as_string(), "x");
   for (const char* key : {"mean", "min", "max"})
     EXPECT_EQ(x.at(key).as_double(), 1e70) << key;
+  for (const char* key : {"p50", "p90", "p99"})
+    EXPECT_EQ(x.find(key), nullptr) << key;
+  const auto& y = doc.at("metrics").items().at(1);
+  ASSERT_EQ(y.at("metric").as_string(), "y");
+  for (const char* key : {"p50", "p90", "p99"}) {
+    const auto& bracket = y.at(key).items();
+    ASSERT_EQ(bracket.size(), 2u) << key;
+    EXPECT_EQ(bracket[0].as_double(), 0x1p63) << key;
+    EXPECT_EQ(bracket[1].as_double(), 0x1p64) << key;
+  }
 }
 
 TEST(StreamCsvSpill, MatchesTableCsvForRectangularSweeps) {
