@@ -28,8 +28,6 @@ namespace rispp::rt {
 class RotationScheduler {
  public:
   RotationScheduler(hw::FaultyReconfigPort port, double clock_mhz);
-  /// Fault-free convenience (the seed signature).
-  RotationScheduler(hw::ReconfigPort port, double clock_mhz);
 
   struct Booking {
     Cycle start = 0;

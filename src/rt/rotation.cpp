@@ -12,9 +12,6 @@ RotationScheduler::RotationScheduler(hw::FaultyReconfigPort port,
   RISPP_REQUIRE(clock_mhz > 0, "clock frequency must be positive");
 }
 
-RotationScheduler::RotationScheduler(hw::ReconfigPort port, double clock_mhz)
-    : RotationScheduler(hw::FaultyReconfigPort(port), clock_mhz) {}
-
 Cycle RotationScheduler::duration_cycles(std::size_t atom_kind,
                                          const isa::AtomCatalog& catalog) const {
   return port_.base().rotation_time_cycles(

@@ -11,83 +11,57 @@ namespace rispp::workload {
 
 namespace {
 
-class FixedSource final : public TraceSource {
+/// A task list built once: hand-written scenarios and parsed trace text.
+class ListSource final : public TraceSource {
  public:
-  FixedSource(std::vector<sim::TaskDef> tasks, std::string label)
-      : tasks_(std::move(tasks)), label_(std::move(label)) {}
+  ListSource(std::vector<sim::TaskDef> tasks, std::string description)
+      : tasks_(std::move(tasks)), description_(std::move(description)) {}
 
   std::vector<sim::TaskDef> tasks() const override { return tasks_; }
-  std::string describe() const override {
-    return label_ + " (" + std::to_string(tasks_.size()) + " fixed tasks)";
-  }
+  std::string describe() const override { return description_; }
 
  private:
   std::vector<sim::TaskDef> tasks_;
-  std::string label_;
+  std::string description_;
 };
 
-class ParsedSource final : public TraceSource {
- public:
-  ParsedSource(std::vector<sim::TaskDef> tasks, std::string origin)
-      : tasks_(std::move(tasks)), origin_(std::move(origin)) {}
-
-  std::vector<sim::TaskDef> tasks() const override { return tasks_; }
-  std::string describe() const override {
-    return "trace text " + origin_ + " (" + std::to_string(tasks_.size()) +
-           " tasks)";
-  }
-
- private:
-  std::vector<sim::TaskDef> tasks_;
-  std::string origin_;
-};
-
+/// The phased generator, for user-written and library-derived configs
+/// alike; the factory words the description.
 class PhasedSource final : public TraceSource {
  public:
-  PhasedSource(PhasedWorkload workload, PhasedStats* stats)
-      : workload_(std::move(workload)), stats_(stats) {}
+  PhasedSource(PhasedWorkload workload, PhasedStats* stats,
+               std::string description)
+      : workload_(std::move(workload)),
+        stats_(stats),
+        description_(std::move(description)) {}
 
   std::vector<sim::TaskDef> tasks() const override {
     return workload_.generate(stats_);
   }
-
-  std::string describe() const override {
-    const auto& cfg = workload_.config();
-    return "phased workload " + cfg.name + " (" +
-           std::to_string(cfg.tasks) + " tasks, " +
-           std::to_string(cfg.phases.size()) + " phases, seed " +
-           std::to_string(cfg.seed) + ")";
-  }
+  std::string describe() const override { return description_; }
 
  private:
   PhasedWorkload workload_;
   PhasedStats* stats_;
+  std::string description_;
 };
 
-/// Same engine as PhasedSource, but the description names the derivation —
-/// the config was computed from the library, not written by a user.
-class GeneratedSource final : public TraceSource {
- public:
-  GeneratedSource(PhasedWorkload workload, PhasedStats* stats)
-      : workload_(std::move(workload)), stats_(stats) {}
+/// "(N tasks, M <phases>, seed S)" — the tail of both phased descriptions.
+std::string phased_tail(const PhasedConfig& cfg, const char* phases) {
+  return " (" + std::to_string(cfg.tasks) + " tasks, " +
+         std::to_string(cfg.phases.size()) + " " + phases + ", seed " +
+         std::to_string(cfg.seed) + ")";
+}
 
-  std::vector<sim::TaskDef> tasks() const override {
-    return workload_.generate(stats_);
-  }
-
-  std::string describe() const override {
-    const auto& cfg = workload_.config();
-    return "generated workload over " +
-           std::to_string(workload_.library().size()) + " SIs (" +
-           std::to_string(cfg.tasks) + " tasks, " +
-           std::to_string(cfg.phases.size()) + " sliding phases, seed " +
-           std::to_string(cfg.seed) + ")";
-  }
-
- private:
-  PhasedWorkload workload_;
-  PhasedStats* stats_;
-};
+/// "<prefix> (N tasks)" for a task list.
+std::unique_ptr<TraceSource> make_list(std::vector<sim::TaskDef> tasks,
+                                       const std::string& prefix,
+                                       const char* noun) {
+  auto description = prefix + " (" + std::to_string(tasks.size()) + " " +
+                     noun + ")";
+  return std::make_unique<ListSource>(std::move(tasks),
+                                      std::move(description));
+}
 
 }  // namespace
 
@@ -97,7 +71,7 @@ void TraceSource::add_to(sim::Simulator& sim) const {
 
 std::unique_ptr<TraceSource> TraceSource::make_fixed(
     std::vector<sim::TaskDef> tasks, std::string label) {
-  return std::make_unique<FixedSource>(std::move(tasks), std::move(label));
+  return make_list(std::move(tasks), label, "fixed tasks");
 }
 
 std::unique_ptr<TraceSource> TraceSource::make_fig06(
@@ -136,8 +110,7 @@ std::unique_ptr<TraceSource> TraceSource::make_fig06(
 std::unique_ptr<TraceSource> TraceSource::make_from_text(
     const std::string& text, std::shared_ptr<const isa::SiLibrary> lib) {
   RISPP_REQUIRE(lib != nullptr, "trace-text source needs an SI library");
-  return std::make_unique<ParsedSource>(sim::parse_tasks(text, *lib),
-                                        "string");
+  return make_list(sim::parse_tasks(text, *lib), "trace text string", "tasks");
 }
 
 std::unique_ptr<TraceSource> TraceSource::make_from_file(
@@ -146,21 +119,26 @@ std::unique_ptr<TraceSource> TraceSource::make_from_file(
   std::ifstream in(path);
   if (!in.good())
     throw util::PreconditionError("cannot open trace file '" + path + "'");
-  return std::make_unique<ParsedSource>(sim::parse_tasks(in, *lib), path);
+  return make_list(sim::parse_tasks(in, *lib), "trace text " + path, "tasks");
 }
 
 std::unique_ptr<TraceSource> TraceSource::make_phased(PhasedWorkload workload,
                                                       PhasedStats* stats) {
-  return std::make_unique<PhasedSource>(std::move(workload), stats);
+  auto description = "phased workload " + workload.config().name +
+                     phased_tail(workload.config(), "phases");
+  return std::make_unique<PhasedSource>(std::move(workload), stats,
+                                        std::move(description));
 }
 
 std::unique_ptr<TraceSource> TraceSource::make_generated(
     std::shared_ptr<const isa::SiLibrary> lib,
     const GeneratedWorkloadParams& params, PhasedStats* stats) {
   RISPP_REQUIRE(lib != nullptr, "generated source needs an SI library");
-  auto cfg = make_generated_config(*lib, params);
-  return std::make_unique<GeneratedSource>(
-      PhasedWorkload(std::move(cfg), std::move(lib)), stats);
+  PhasedWorkload workload(make_generated_config(*lib, params), lib);
+  auto description = "generated workload over " + std::to_string(lib->size()) +
+                     " SIs" + phased_tail(workload.config(), "sliding phases");
+  return std::make_unique<PhasedSource>(std::move(workload), stats,
+                                        std::move(description));
 }
 
 }  // namespace rispp::workload
