@@ -160,11 +160,9 @@ class Host {
 };
 
 /// What a differential run returns for further pins: the simulator's result
-/// and recorded stream (equal to the reference's when the run matched), and
-/// each side's kernel counters.
+/// and each side's kernel counters.
 struct Compared {
   SimResult result;
-  std::vector<rispp::obs::Event> events;
   rispp::rt::KernelCounters sim_counters;
   rispp::rt::KernelCounters ref_counters;
 };
@@ -229,7 +227,6 @@ inline Compared expect_same_run(
             1e-12 * std::abs(expected.energy_total_nj))
       << "energy " << got.energy_total_nj << " vs "
       << expected.energy_total_nj;
-  out.events = a;
   return out;
 }
 
