@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "rispp/hw/reconfig_port.hpp"
 #include "rispp/isa/si_library.hpp"
 #include "rispp/isa/special_instruction.hpp"
 
@@ -52,8 +51,6 @@ class Platform {
     return lib_;
   }
   const isa::AtomCatalog& catalog() const { return lib_->catalog(); }
-  /// Default reconfiguration-port model (Table 1 SelectMap bandwidth).
-  const hw::ReconfigPort& default_port() const { return port_; }
 
   /// Precomputed hardware tables: the Fig-13 Pareto front of each SI, in
   /// library order. Pointers inside the points refer into the shared
@@ -65,7 +62,6 @@ class Platform {
 
   std::string name_;
   std::shared_ptr<const isa::SiLibrary> lib_;
-  hw::ReconfigPort port_{};
   std::vector<std::vector<isa::ParetoPoint>> pareto_;
 };
 

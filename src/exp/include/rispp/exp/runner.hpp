@@ -125,9 +125,6 @@ class Runner {
   ResultTable run(const Sweep& sweep, const PointFn& fn) const;
 
   const Platform& platform() const { return *platform_; }
-  const std::shared_ptr<const Platform>& platform_ptr() const {
-    return platform_;
-  }
   /// Resolved worker count (after the jobs=0 → hardware_concurrency rule).
   unsigned jobs() const { return jobs_; }
 

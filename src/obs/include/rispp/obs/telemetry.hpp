@@ -18,8 +18,10 @@
 ///     --jobs.** Telemetry never touches rows or sinks; heartbeats are
 ///     emitted from the (already serialized) flush path to side streams.
 ///  2. **Near-zero cost when off.** Span sites go through a thread-local
-///     binding: unbound threads pay one TLS load and a branch
-///     (< 1 % on the kernel + 1k-point sweep benches, BENCH_telemetry.json).
+///     binding: unbound threads pay one TLS load and a branch, and record
+///     nothing (ScopedSpan.IsANoOpWhenNoTelemetryIsBound). Hostbench's
+///     phased_sweep runs every pass with a Telemetry attached, so the cost
+///     when on is inside that workload's timings.
 ///  3. **Per-worker counters are lock-free.** WorkerCounters are relaxed
 ///     atomics in worker-owned cache lines; the heartbeat emitter reads them
 ///     live without perturbing the claim gate.
@@ -111,8 +113,9 @@ class ScopedSpan {
 class Telemetry {
  public:
   struct Config {
-    /// Completed points between heartbeats; 0 = auto (~64 over the run,
-    /// never fewer than one per point... capped below at >= 1).
+    /// Completed points between heartbeats; 0 = auto:
+    /// max(1, points_total / 64), so every point of a run under 128 points
+    /// and 64 to 127 heartbeats over a longer one.
     std::size_t heartbeat_every = 0;
     /// JSONL heartbeat stream ("rispp.telemetry/1" records); null = none.
     std::ostream* heartbeat_out = nullptr;

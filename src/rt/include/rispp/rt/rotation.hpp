@@ -74,9 +74,6 @@ class RotationScheduler {
   /// take_failures() call. Always false with a fault-free port.
   bool has_pending_failures() const { return !faulty_.empty(); }
 
-  /// Cycle until which the port is occupied.
-  Cycle busy_until() const { return busy_until_; }
-
   /// Nominal (un-stretched) duration of one rotation of the given atom
   /// kind, in cycles — what cost gates and refunds reason over.
   Cycle duration_cycles(std::size_t atom_kind,

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "rispp/util/error.hpp"
-#include "rispp/util/log.hpp"
 
 namespace rispp::rt {
 
@@ -98,8 +97,6 @@ void RisppManager::forecast(std::size_t si, double expected_executions,
                  .kind = obs::EventKind::ForecastSeen,
                  .task = task,
                  .si = static_cast<std::int64_t>(si)});
-  RISPP_DEBUG << "forecast " << lib_->at(si).name() << " E=" << expectation
-              << " p=" << probability << " @" << now;
   reallocate(now);
 }
 
@@ -168,7 +165,6 @@ void RisppManager::process_failures(Cycle now) {
         batch_.emit({.at = b.done,
                      .kind = obs::EventKind::AcQuarantined,
                      .container = static_cast<std::int32_t>(b.container)});
-      RISPP_DEBUG << "AC " << b.container << " quarantined @" << b.done;
     } else {
       counters_.bump(Counter::RotationRetries);
     }

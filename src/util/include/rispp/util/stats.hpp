@@ -21,7 +21,6 @@ class Accumulator {
   double mean() const;
   /// Sample variance (n-1 denominator); 0 for fewer than two samples.
   double variance() const;
-  double stddev() const;
   double min() const;
   double max() const;
 
@@ -77,7 +76,6 @@ class LogHistogram {
   std::uint64_t min() const;
   std::uint64_t max() const;
   double mean() const;
-  std::size_t bucket_count() const { return counts_.size(); }
   std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
   /// Integer bucket edges: samples in bucket i lie in [lower, upper).
   /// The last bucket's upper edge, 2^64, has no integer; bucket_upper(64)

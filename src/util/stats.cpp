@@ -27,8 +27,6 @@ double Accumulator::variance() const {
   return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
 }
 
-double Accumulator::stddev() const { return std::sqrt(variance()); }
-
 double Accumulator::min() const {
   RISPP_REQUIRE(n_ > 0, "min() of empty accumulator");
   return min_;

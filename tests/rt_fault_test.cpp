@@ -9,6 +9,7 @@
 #include <cmath>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "rispp/hw/fault.hpp"
 #include "rispp/isa/io.hpp"
@@ -321,11 +322,19 @@ TEST(FaultRecovery, RepeatedFailuresQuarantineTheContainer) {
   EXPECT_FALSE(exec.hardware);
   EXPECT_EQ(exec.cycles, 1000u);
 
+  // One quarantine, of the lone container, at the end of the transfer whose
+  // failure spent the retry budget (the booking's `done`).
   mgr.flush_events();
-  bool saw_quarantine_event = false;
-  for (const auto& e : recorder.events())
-    if (e.kind == EventKind::AcQuarantined) saw_quarantine_event = true;
-  EXPECT_TRUE(saw_quarantine_event);
+  std::vector<rispp::obs::Event> quarantines;
+  const rispp::obs::Event* last_failure = nullptr;
+  for (const auto& e : recorder.events()) {
+    if (e.kind == EventKind::AcQuarantined) quarantines.push_back(e);
+    if (e.kind == EventKind::RotationFailed) last_failure = &e;
+  }
+  ASSERT_EQ(quarantines.size(), 1u);
+  ASSERT_NE(last_failure, nullptr);
+  EXPECT_EQ(quarantines[0].container, 0);
+  EXPECT_EQ(quarantines[0].at, last_failure->at);
   check_rotation_lifecycle(recorder.events(), mgr);
 }
 
