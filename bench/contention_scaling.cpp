@@ -16,12 +16,11 @@
 ///   quarantine  the same load under a probabilistic fault model: failed
 ///               rotations, quarantined containers, and the tail penalty
 ///
-///   contention_scaling [--tasks=N] [--events=N] [--out=FILE] [--quick]
+///   contention_scaling [--tasks=N] [--events=N] [--out=FILE]
 ///
 /// Output: BENCH_contention.json with every section's rows (tail-latency
 /// brackets from util::LogHistogram, port busy/utilization, fault counters).
-/// Defaults run 512 concurrent tasks at the top of the scaling axis; --quick
-/// shrinks everything for the CI smoke.
+/// Defaults run 512 concurrent tasks at the top of the scaling axis.
 
 #include <algorithm>
 #include <fstream>
@@ -30,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "rispp/bench/meta_block.hpp"
 #include "rispp/hw/fault.hpp"
 #include "rispp/isa/si_library.hpp"
 #include "rispp/obs/event.hpp"
@@ -213,7 +211,6 @@ int main(int argc, char** argv) try {
   std::uint64_t max_tasks = 512;
   std::uint64_t events = 3000;
   std::string out_path = "BENCH_contention.json";
-  bool quick = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--tasks=", 0) == 0)
@@ -224,17 +221,11 @@ int main(int argc, char** argv) try {
                                                           "--events");
     else if (arg.rfind("--out=", 0) == 0)
       out_path = arg.substr(6);
-    else if (arg == "--quick")
-      quick = true;
     else {
       std::cerr << "usage: contention_scaling [--tasks=N] [--events=N] "
-                   "[--out=FILE] [--quick]\n";
+                   "[--out=FILE]\n";
       return 2;
     }
-  }
-  if (quick) {
-    max_tasks = std::min<std::uint64_t>(max_tasks, 32);
-    events = std::min<std::uint64_t>(events, 400);
   }
 
   // The frame-level library: nine SIs competing for four containers — the
@@ -346,8 +337,6 @@ int main(int argc, char** argv) try {
 
   std::ofstream out(out_path);
   out << "{\n"
-      << "  \"meta\": " << rispp::bench::meta_block("contention_scaling")
-      << ",\n"
       << "  \"bench\": \"contention_scaling\",\n"
       << "  \"events\": " << events << ",\n"
       << "  \"containers\": " << containers << ",\n"

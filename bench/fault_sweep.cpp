@@ -18,7 +18,6 @@
 #include <string>
 #include <thread>
 
-#include "rispp/bench/meta_block.hpp"
 #include "rispp/exp/platform.hpp"
 #include "rispp/exp/standard_eval.hpp"
 #include "rispp/util/parse.hpp"
@@ -76,7 +75,6 @@ int main(int argc, char** argv) try {
 
   std::ofstream out(out_path);
   out << "{\n"
-      << "  \"meta\": " << rispp::bench::meta_block("fault_sweep") << ",\n"
       << "  \"grid\": \"fault_p x retries, fig7 encoder, 4 containers, "
          "60 macroblocks, " << sweep.points().size() << " points\",\n"
       << "  \"jobs_compared\": [1, " << jobs << "],\n"

@@ -13,7 +13,7 @@
 /// renderings byte-for-byte (generated libraries are per-point pure, so the
 /// worker count must not leak into any cell).
 ///
-///   library_shape_sweep [--jobs=N] [--quick] [--out=BENCH_genlib.json]
+///   library_shape_sweep [--jobs=N] [--out=BENCH_genlib.json]
 ///
 /// Output: BENCH_genlib.json with the grid description, the byte-identity
 /// verdict, the per-shape container demand, and the full result table.
@@ -26,7 +26,6 @@
 #include <thread>
 #include <vector>
 
-#include "rispp/bench/meta_block.hpp"
 #include "rispp/exp/platform.hpp"
 #include "rispp/exp/standard_eval.hpp"
 #include "rispp/util/parse.hpp"
@@ -36,19 +35,15 @@ int main(int argc, char** argv) try {
   using rispp::util::TextTable;
 
   unsigned jobs = std::max(2u, std::thread::hardware_concurrency());
-  bool quick = false;
   std::string out_path = "BENCH_genlib.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--jobs=", 0) == 0)
       jobs = rispp::util::require_number<unsigned>(arg.substr(7), "--jobs");
-    else if (arg == "--quick")
-      quick = true;
     else if (arg.rfind("--out=", 0) == 0)
       out_path = arg.substr(6);
     else {
-      std::cerr
-          << "usage: library_shape_sweep [--jobs=N] [--quick] [--out=FILE]\n";
+      std::cerr << "usage: library_shape_sweep [--jobs=N] [--out=FILE]\n";
       return 2;
     }
   }
@@ -57,15 +52,7 @@ int main(int argc, char** argv) try {
   // but the Runner needs a snapshot to thread through.
   const auto platform = rispp::exp::Platform::builtin("h264");
 
-  const std::vector<std::string> seeds =
-      quick ? std::vector<std::string>{"11"}
-            : std::vector<std::string>{"11", "12", "13", "14"};
-  const std::vector<std::string> containers =
-      quick ? std::vector<std::string>{"4", "8"}
-            : std::vector<std::string>{"2", "4", "6", "8", "10", "12"};
-  const std::vector<std::string> bandwidths =
-      quick ? std::vector<std::string>{"69.2"}
-            : std::vector<std::string>{"34.6", "69.2"};
+  const std::vector<std::string> seeds = {"11", "12", "13", "14"};
 
   rispp::exp::Sweep sweep;
   sweep.axis("workload", {"generated"})
@@ -73,11 +60,11 @@ int main(int argc, char** argv) try {
       .axis("lib_seed", seeds)
       .axis("lib_atoms", {"5"})
       .axis("lib_sis", {"8"})
-      .axis("containers", containers)
-      .axis("bandwidth", bandwidths)
+      .axis("containers", {"2", "4", "6", "8", "10", "12"})
+      .axis("bandwidth", {"34.6", "69.2"})
       .axis("wl_seed", {"9001"})
       .axis("wl_tasks", {"4"})
-      .axis("wl_events", {quick ? "60" : "120"});
+      .axis("wl_events", {"120"});
 
   const auto serial = rispp::exp::run_sim_sweep(platform, sweep, 1);
   const auto parallel = rispp::exp::run_sim_sweep(platform, sweep, jobs);
@@ -130,12 +117,9 @@ int main(int argc, char** argv) try {
 
   std::ofstream out(out_path);
   out << "{\n"
-      << "  \"meta\": " << rispp::bench::meta_block("library_shape_sweep")
-      << ",\n"
       << "  \"grid\": \"shape x seed x containers x bandwidth, "
          "workload=generated, "
       << sweep.points().size() << " points\",\n"
-      << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
       << "  \"jobs_compared\": [1, " << jobs << "],\n"
       << "  \"byte_identical_across_jobs\": "
       << (identical ? "true" : "false") << ",\n"

@@ -66,7 +66,7 @@ atom::Molecule ContainerFile::available_atoms(Cycle now) const {
 }
 
 void ContainerFile::start_rotation(unsigned c, std::size_t atom_kind,
-                                   Cycle ready_at, int owner_task) {
+                                   Cycle ready_at) {
   RISPP_REQUIRE(c < containers_.size(), "container index out of range");
   RISPP_REQUIRE(atom_kind < catalog_->size(), "atom kind out of range");
   RISPP_REQUIRE(catalog_->at(atom_kind).rotatable,
@@ -90,7 +90,6 @@ void ContainerFile::start_rotation(unsigned c, std::size_t atom_kind,
   ac.atom.reset();
   ac.loading = atom_kind;
   ac.ready_at = ready_at;
-  ac.owner_task = owner_task;
 }
 
 void ContainerFile::abort_rotation(unsigned c) {
@@ -104,7 +103,6 @@ void ContainerFile::abort_rotation(unsigned c) {
   ac.loading.reset();
   ac.atom.reset();
   ac.ready_at = 0;
-  ac.owner_task = kNoTask;
 }
 
 bool ContainerFile::on_rotation_failed(unsigned c, std::size_t atom_kind,
@@ -124,7 +122,6 @@ bool ContainerFile::on_rotation_failed(unsigned c, std::size_t atom_kind,
   ac.loading.reset();
   ac.atom.reset();
   ac.ready_at = 0;
-  ac.owner_task = kNoTask;
   ++ac.fail_streak;
   if (ac.fail_streak > max_retries) {
     ac.quarantined = true;
@@ -192,7 +189,6 @@ std::optional<unsigned> ContainerFile::choose_victim(
         .container = c.id,
         .atom_kind = *kind,
         .last_used = c.last_used,
-        .owner_task = c.owner_task,
     });
   }
   if (candidates.empty()) return std::nullopt;

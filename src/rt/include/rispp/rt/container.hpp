@@ -5,9 +5,9 @@
 ///
 /// Each AC holds at most one Atom. A rotation replaces the AC's content; the
 /// old Atom becomes unusable the moment the rotation starts, the new one
-/// usable when the bitstream transfer completes. ACs have a task *owner*
-/// for replacement policy only — any task may execute SIs on any loaded
-/// Atom (Fig 6, T3: Task B's SI runs on containers that 'belong' to Task A).
+/// usable when the bitstream transfer completes. Containers belong to no
+/// task: any task may execute SIs on any loaded Atom (Fig 6, T3: Task B's
+/// SI runs on containers Task A's rotations filled).
 ///
 /// ContainerFile::choose_victim is the one victim decision (paper §5c): it
 /// takes an empty container when it can and otherwise hands the expendable
@@ -39,7 +39,6 @@ struct VictimCandidate {
   unsigned container = 0;
   std::size_t atom_kind = 0;  ///< committed content (catalog index)
   Cycle last_used = 0;
-  int owner_task = kNoTask;
 };
 
 struct AtomContainer {
@@ -49,7 +48,6 @@ struct AtomContainer {
   /// Atom kind being rotated in; usable from ready_at onwards.
   std::optional<std::size_t> loading;
   Cycle ready_at = 0;
-  int owner_task = kNoTask;
   Cycle last_used = 0;
   /// Consecutive failed loads (reset by any successful load).
   unsigned fail_streak = 0;
@@ -115,8 +113,7 @@ class ContainerFile {
   const atom::Molecule& committed_atoms() const { return committed_; }
 
   /// Begin a rotation: container `c` will hold `atom_kind` at `ready_at`.
-  void start_rotation(unsigned c, std::size_t atom_kind, Cycle ready_at,
-                      int owner_task);
+  void start_rotation(unsigned c, std::size_t atom_kind, Cycle ready_at);
 
   /// Abort a rotation whose transfer was cancelled before it started: the
   /// container becomes empty (its previous content was already given up

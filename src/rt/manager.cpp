@@ -269,7 +269,7 @@ void RisppManager::issue(Cycle now) {
         const auto evicted = vc.loading ? vc.loading : vc.atom;
         const auto booking =
             rotations_.schedule(now, kind, lib_->catalog(), *victim);
-        containers_.start_rotation(*victim, kind, booking.done, step.task);
+        containers_.start_rotation(*victim, kind, booking.done);
         ++state_generation_;  // a new completion point entered the timeline
         // Energy covers the actual transfer window (bandwidth degradation
         // stretches it); identical to the nominal duration when fault-free.
@@ -329,8 +329,8 @@ RisppManager::ExecResult RisppManager::execute(std::size_t si, Cycle now,
   energy_.advance_leakage(now, loaded_slices());
 
   // Monitoring: an execution counts against every active window for this
-  // SI (the task parameter attributes container ownership, not usage);
-  // the windows read the counter at their release.
+  // SI, whichever task ran it (`task` only labels the event and keys the
+  // upgrade check); the windows read the counter at their release.
   ++executions_[si];
 
   // Fastest-supported lookup, allocation-free: right after refresh(now) the

@@ -22,8 +22,8 @@
 /// Determinism contract: generation consumes a single Xoshiro256 stream
 /// seeded from the config; identical (config, seed) produce byte-identical
 /// traces (through sim::write_tasks) on any host, any thread count, any
-/// generator instance — pinned by tests/workload_phased_test and the CI
-/// workload smoke.
+/// generator instance — pinned by tests/workload_phased_test and the
+/// WorkloadGolden ctests.
 
 #include <cstdint>
 #include <iosfwd>

@@ -49,13 +49,11 @@ class ContainerFile {
     }
   }
 
-  void start_rotation(unsigned c, std::size_t atom_kind, Cycle ready_at,
-                      int owner_task) {
+  void start_rotation(unsigned c, std::size_t atom_kind, Cycle ready_at) {
     auto& ac = containers_.at(c);
     ac.atom.reset();
     ac.loading = atom_kind;
     ac.ready_at = ready_at;
-    ac.owner_task = owner_task;
   }
 
   void abort_rotation(unsigned c) {
@@ -63,7 +61,6 @@ class ContainerFile {
     ac.loading.reset();
     ac.atom.reset();
     ac.ready_at = 0;
-    ac.owner_task = kNoTask;
   }
 
   bool on_rotation_failed(unsigned c, Cycle failed_at, unsigned max_retries,
@@ -72,7 +69,6 @@ class ContainerFile {
     ac.loading.reset();
     ac.atom.reset();
     ac.ready_at = 0;
-    ac.owner_task = kNoTask;
     ++ac.fail_streak;
     if (ac.fail_streak > max_retries) {
       ac.quarantined = true;
@@ -134,7 +130,7 @@ class ContainerFile {
       if (c.busy(now) || c.blocked(now)) continue;
       const auto kind = c.loading ? c.loading : c.atom;
       if (!kind || committed[*kind] <= target[*kind]) continue;
-      candidates.push_back({c.id, *kind, c.last_used, c.owner_task});
+      candidates.push_back({c.id, *kind, c.last_used});
     }
     if (candidates.empty()) return std::nullopt;
     return policy.pick(candidates);

@@ -487,7 +487,7 @@ TEST(MergeDeterminism, RejectsMissingForeignAndConflictingRows) {
 }
 
 TEST(MergeDeterminism, SimEvaluatorGoldenAcrossShardsMatchesCheckedInCsv) {
-  // The real evaluator on the CI smoke grid: 3 shards, mixed jobs, merged —
+  // The real evaluator on the ShardGolden grid: 3 shards, mixed jobs, merged —
   // byte-identical to tests/data/sweep_golden.csv.
   auto base = Sweep::parse_grid(
       "workload=enc;frames=1;mb=20;containers=4,6;quantum=10000,30000");

@@ -424,7 +424,7 @@ TEST(StandardEval, PerPointReportsAreByteIdenticalAtAnyWorkerCount) {
 }
 
 TEST(StandardEval, GoldenSweepMatchesCheckedInCsv) {
-  // The exact grid the CI smoke runs through tools/rispp_sweep --jobs=2.
+  // The grid SweepArtifactsGolden runs through tools/rispp_sweep --jobs=2.
   auto sweep = Sweep::parse_grid(
       "workload=enc;frames=1;mb=20;containers=4,6;quantum=10000,30000");
   sweep.base_seed(1);

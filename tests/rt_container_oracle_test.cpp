@@ -63,7 +63,6 @@ void expect_same(const ContainerFile& got,
     EXPECT_EQ(g.atom, w.atom) << "AC " << c;
     EXPECT_EQ(g.loading, w.loading) << "AC " << c;
     EXPECT_EQ(g.ready_at, w.ready_at) << "AC " << c;
-    EXPECT_EQ(g.owner_task, w.owner_task) << "AC " << c;
     EXPECT_EQ(g.last_used, w.last_used) << "AC " << c;
     EXPECT_EQ(g.fail_streak, w.fail_streak) << "AC " << c;
     EXPECT_EQ(g.blocked_until, w.blocked_until) << "AC " << c;
@@ -143,9 +142,8 @@ Coverage run_sequence(const SiLibrary& lib, std::uint64_t seed, int steps) {
         if (got.at(*c).atom) ++cov.evictions;
         const auto kind = rotatable[rng.below(rotatable.size())];
         const Cycle ready = now + rng.below(1500);
-        const int owner = static_cast<int>(rng.below(4)) - 1;
-        got.start_rotation(*c, kind, ready, owner);
-        want.start_rotation(*c, kind, ready, owner);
+        got.start_rotation(*c, kind, ready);
+        want.start_rotation(*c, kind, ready);
       }
     } else if (roll < 8) {
       const auto usable_before = got.usable_generation();

@@ -28,23 +28,22 @@ TEST_F(Containers, StartsEmpty) {
 
 TEST_F(Containers, RotationBecomesAvailableAtReadyTime) {
   ContainerFile cf(2, cat_);
-  cf.start_rotation(0, quadsub_, /*ready_at=*/100, /*owner=*/1);
+  cf.start_rotation(0, quadsub_, /*ready_at=*/100);
   EXPECT_TRUE(cf.available_atoms(50).is_zero());   // still transferring
   EXPECT_EQ(cf.committed_atoms()[quadsub_], 1u);   // but committed
   EXPECT_EQ(cf.available_atoms(100)[quadsub_], 1u);
   cf.refresh(100);
   EXPECT_EQ(cf.at(0).atom, quadsub_);
   EXPECT_FALSE(cf.at(0).loading.has_value());
-  EXPECT_EQ(cf.at(0).owner_task, 1);
 }
 
 TEST_F(Containers, RotationDestroysOldContentImmediately) {
   ContainerFile cf(1, cat_);
-  cf.start_rotation(0, quadsub_, 10, kNoTask);
+  cf.start_rotation(0, quadsub_, 10);
   cf.refresh(10);
   EXPECT_EQ(cf.available_atoms(10)[quadsub_], 1u);
   // Re-rotate to Pack: QuadSub unusable from the moment the rotation starts.
-  cf.start_rotation(0, pack_, 200, kNoTask);
+  cf.start_rotation(0, pack_, 200);
   EXPECT_TRUE(cf.available_atoms(50).is_zero());
   EXPECT_EQ(cf.committed_atoms()[pack_], 1u);
   EXPECT_EQ(cf.committed_atoms()[quadsub_], 0u);
@@ -52,13 +51,13 @@ TEST_F(Containers, RotationDestroysOldContentImmediately) {
 
 TEST_F(Containers, StaticAtomsCannotBeRotated) {
   ContainerFile cf(1, cat_);
-  EXPECT_THROW(cf.start_rotation(0, cat_.index_of("Load"), 10, kNoTask),
+  EXPECT_THROW(cf.start_rotation(0, cat_.index_of("Load"), 10),
                PreconditionError);
 }
 
 TEST_F(Containers, VictimPrefersEmpty) {
   ContainerFile cf(3, cat_);
-  cf.start_rotation(0, quadsub_, 10, kNoTask);
+  cf.start_rotation(0, quadsub_, 10);
   cf.refresh(10);
   const auto target = cat_.zero();
   const auto victim = cf.choose_victim(target, 20, *lru_);
@@ -68,8 +67,8 @@ TEST_F(Containers, VictimPrefersEmpty) {
 
 TEST_F(Containers, VictimIsLruExcessContainer) {
   ContainerFile cf(2, cat_);
-  cf.start_rotation(0, quadsub_, 10, kNoTask);
-  cf.start_rotation(1, pack_, 20, kNoTask);
+  cf.start_rotation(0, quadsub_, 10);
+  cf.start_rotation(1, pack_, 20);
   cf.refresh(20);
   // Touch Pack recently; QuadSub is stale.
   rispp::atom::Molecule used(cat_.size());
@@ -83,8 +82,8 @@ TEST_F(Containers, VictimIsLruExcessContainer) {
 
 TEST_F(Containers, NeededContainersAreNotVictims) {
   ContainerFile cf(2, cat_);
-  cf.start_rotation(0, quadsub_, 10, kNoTask);
-  cf.start_rotation(1, pack_, 20, kNoTask);
+  cf.start_rotation(0, quadsub_, 10);
+  cf.start_rotation(1, pack_, 20);
   cf.refresh(20);
   // Target needs exactly these two atoms → no victim available.
   rispp::atom::Molecule target(cat_.size());
@@ -101,7 +100,7 @@ TEST_F(Containers, NeededContainersAreNotVictims) {
 
 TEST_F(Containers, BusyContainerIsNotVictim) {
   ContainerFile cf(1, cat_);
-  cf.start_rotation(0, quadsub_, 1000, kNoTask);
+  cf.start_rotation(0, quadsub_, 1000);
   // At cycle 10 the transfer is still in flight — not preemptible.
   EXPECT_FALSE(cf.choose_victim(cat_.zero(), 10, *lru_).has_value());
   // After completion it becomes a normal (excess) victim.
@@ -111,9 +110,9 @@ TEST_F(Containers, BusyContainerIsNotVictim) {
 
 TEST_F(Containers, AggregationCountsInstances) {
   ContainerFile cf(3, cat_);
-  cf.start_rotation(0, transform_, 10, kNoTask);
-  cf.start_rotation(1, transform_, 20, kNoTask);
-  cf.start_rotation(2, quadsub_, 30, kNoTask);
+  cf.start_rotation(0, transform_, 10);
+  cf.start_rotation(1, transform_, 20);
+  cf.start_rotation(2, quadsub_, 30);
   cf.refresh(30);
   const auto avail = cf.available_atoms(30);
   EXPECT_EQ(avail[transform_], 2u);
@@ -125,9 +124,9 @@ TEST_F(Containers, RoundRobinVictimRotatesThroughContainers) {
   // Regression: the seed picked the lowest-id expendable container on every
   // eviction ("round-robin" in name only). The policy's cursor must cycle.
   ContainerFile cf(3, cat_);
-  cf.start_rotation(0, transform_, 10, kNoTask);
-  cf.start_rotation(1, transform_, 20, kNoTask);
-  cf.start_rotation(2, transform_, 30, kNoTask);
+  cf.start_rotation(0, transform_, 10);
+  cf.start_rotation(1, transform_, 20);
+  cf.start_rotation(2, transform_, 30);
   cf.refresh(30);
   const auto rr = make_replacement_policy("round-robin");
   const auto target = cat_.zero();  // everything is excess
@@ -144,9 +143,9 @@ TEST_F(Containers, RoundRobinVictimRotatesThroughContainers) {
 
 TEST_F(Containers, RoundRobinPolicyObjectRotatesToo) {
   ContainerFile cf(3, cat_);
-  cf.start_rotation(0, transform_, 10, kNoTask);
-  cf.start_rotation(1, transform_, 20, kNoTask);
-  cf.start_rotation(2, transform_, 30, kNoTask);
+  cf.start_rotation(0, transform_, 10);
+  cf.start_rotation(1, transform_, 20);
+  cf.start_rotation(2, transform_, 30);
   cf.refresh(30);
   RoundRobinReplacement rr;
   const auto target = cat_.zero();
@@ -165,9 +164,9 @@ TEST_F(Containers, TouchMarksLeastRecentlyUsedInstanceFirst) {
   // Three Transform instances, each touch uses one: the marking must cycle
   // through the instances (LRU order) instead of re-marking container 0.
   ContainerFile cf(3, cat_);
-  cf.start_rotation(0, transform_, 10, kNoTask);
-  cf.start_rotation(1, transform_, 20, kNoTask);
-  cf.start_rotation(2, transform_, 30, kNoTask);
+  cf.start_rotation(0, transform_, 10);
+  cf.start_rotation(1, transform_, 20);
+  cf.start_rotation(2, transform_, 30);
   cf.refresh(30);
   rispp::atom::Molecule one(cat_.size());
   one.set(transform_, 1);
@@ -188,17 +187,17 @@ TEST_F(Containers, CommittedAtomsStayConsistentAcrossRotations) {
   // definition (one count per container's loading-or-loaded kind).
   ContainerFile cf(3, cat_);
   EXPECT_TRUE(cf.committed_atoms().is_zero());
-  cf.start_rotation(0, transform_, 10, kNoTask);
-  cf.start_rotation(1, quadsub_, 20, kNoTask);
+  cf.start_rotation(0, transform_, 10);
+  cf.start_rotation(1, quadsub_, 20);
   EXPECT_EQ(cf.committed_atoms()[transform_], 1u);
   EXPECT_EQ(cf.committed_atoms()[quadsub_], 1u);
   cf.refresh(20);  // promotion must not change committed content
   EXPECT_EQ(cf.committed_atoms()[transform_], 1u);
   EXPECT_EQ(cf.committed_atoms()[quadsub_], 1u);
-  cf.start_rotation(0, pack_, 50, kNoTask);  // replaces Transform
+  cf.start_rotation(0, pack_, 50);  // replaces Transform
   EXPECT_EQ(cf.committed_atoms()[transform_], 0u);
   EXPECT_EQ(cf.committed_atoms()[pack_], 1u);
-  cf.start_rotation(2, transform_, 60, kNoTask);
+  cf.start_rotation(2, transform_, 60);
   cf.abort_rotation(2);  // cancelled before starting → empty container
   EXPECT_EQ(cf.committed_atoms()[transform_], 0u);
   EXPECT_EQ(cf.committed_atoms().determinant(), 2u);
@@ -207,8 +206,8 @@ TEST_F(Containers, CommittedAtomsStayConsistentAcrossRotations) {
 TEST_F(Containers, Preconditions) {
   EXPECT_THROW(ContainerFile(0, cat_), PreconditionError);
   ContainerFile cf(1, cat_);
-  EXPECT_THROW(cf.start_rotation(5, quadsub_, 10, kNoTask), PreconditionError);
-  EXPECT_THROW(cf.start_rotation(0, 99, 10, kNoTask), PreconditionError);
+  EXPECT_THROW(cf.start_rotation(5, quadsub_, 10), PreconditionError);
+  EXPECT_THROW(cf.start_rotation(0, 99, 10), PreconditionError);
   EXPECT_THROW((void)cf.at(7), PreconditionError);
 }
 

@@ -68,7 +68,7 @@ TEST_F(Policies, LruAndMruPickTheirVictims) {
   const auto transform = cat.index_of("Transform");
   ContainerFile file(3, cat);
   for (unsigned c = 0; c < 3; ++c)
-    file.start_rotation(c, transform, 10 * (c + 1), kNoTask);
+    file.start_rotation(c, transform, 10 * (c + 1));
   file.refresh(30);
   rispp::atom::Molecule one(cat.size());
   one.set(transform, 1);

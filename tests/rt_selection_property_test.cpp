@@ -155,17 +155,17 @@ void check_replacement_victims(const SiLibrary& lib,
       case 0:  // empty
         break;
       case 1:  // completed load
-        file.start_rotation(c, kind, now - 1, 0);
+        file.start_rotation(c, kind, now - 1);
         break;
       case 2:  // mid-rotation: transfer still in flight at `now`
-        file.start_rotation(c, kind, now + 500 + rng.below(2000), 0);
+        file.start_rotation(c, kind, now + 500 + rng.below(2000));
         break;
       case 3:  // failed load, still inside its backoff window
-        file.start_rotation(c, kind, now - 1, 0);
+        file.start_rotation(c, kind, now - 1);
         ASSERT_FALSE(file.on_rotation_failed(c, kind, now - 1, 10, 5000));
         break;
       default:  // failed once with a zero retry budget: quarantined
-        file.start_rotation(c, kind, now - 1, 0);
+        file.start_rotation(c, kind, now - 1);
         ASSERT_TRUE(file.on_rotation_failed(c, kind, now - 1, 0, 5000));
         break;
     }

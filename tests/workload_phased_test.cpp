@@ -1,6 +1,6 @@
 /// PhasedWorkload: §8 config parsing with line-numbered diagnostics, the
 /// byte-determinism contract, phase-boundary exactness, and the checked-in
-/// golden trace the CI workload smoke also pins.
+/// golden trace the WorkloadGolden ctests also pin.
 
 #include <gtest/gtest.h>
 
@@ -252,14 +252,14 @@ TEST(PhasedWorkload, GeneratedTracesRoundTripThroughTraceIo) {
 }
 
 TEST(PhasedWorkloadGolden, SmallWorkloadTraceIsPinned) {
-  // The same pairing the CI workload smoke checks: the fixture config must
-  // keep producing tests/data/phased_golden.trace byte for byte. If a
-  // deliberate generator change lands, regenerate the golden with
-  //   rispp_workload generate --config=tests/data/phased_small.workload
+  // The same pairing the WorkloadGolden.generate ctest checks through the
+  // CLI: the fixture config must keep producing tests/data/smoke.trace byte
+  // for byte. If a deliberate generator change lands, regenerate the golden
+  // as docs/testing.md "Golden files" says.
   const auto lib = SiLibrary::h264();
   const auto workload = PhasedWorkload::from_file(
       RISPP_TEST_DATA_DIR "/phased_small.workload", borrow(lib));
-  std::ifstream golden(RISPP_TEST_DATA_DIR "/phased_golden.trace",
+  std::ifstream golden(RISPP_TEST_DATA_DIR "/smoke.trace",
                        std::ios::binary);
   ASSERT_TRUE(golden.good());
   std::ostringstream want;
